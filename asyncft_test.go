@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"asyncft/internal/shard"
 )
 
 func fastConfig(seed int64) Config {
@@ -543,9 +545,10 @@ func TestClusterAtomicBroadcastWithCrash(t *testing.T) {
 func TestClusterAtomicBroadcastWithNoise(t *testing.T) {
 	cfg := fastConfig(24)
 	cfg.CoinRounds = 1
+	root := shard.Session("abc/n", 0)
 	cfg.Byzantine = map[int]Behavior{2: Noise(
-		"abc/n/slot/0/rbc/0", "abc/n/slot/0/rbc/2", "abc/n/slot/0/cs/ba/1",
-		"abc/n/slot/1/rbc/1", "abc/n/slot/1/cs/ba/0",
+		root+"/slot/0/rbc/0", root+"/slot/0/rbc/2", root+"/slot/0/cs/ba/1",
+		root+"/slot/1/rbc/1", root+"/slot/1/cs/ba/0",
 	)}
 	c, err := New(cfg)
 	if err != nil {
@@ -575,7 +578,7 @@ func TestClusterAtomicBroadcastTargetedSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	hold, err := c.Hold(0, -1, "abc/held/slot/0/rbc/0")
+	hold, err := c.Hold(0, -1, shard.Session("abc/held", 0)+"/slot/0/rbc/0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,48 +629,5 @@ func TestClusterAtomicBroadcastSeedSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestClusterAtomicBroadcastCodedToggle runs the same large-batch ledger
-// workload through coded dispersal and through classic echo
-// (NoCodedBroadcast), checking that both replicate, both commit the
-// proposers' exact bytes, and the coded run moves measurably fewer bytes.
-func TestClusterAtomicBroadcastCodedToggle(t *testing.T) {
-	const slots, size = 2, 8192
-	payload := func(party, slot int) []byte {
-		p := []byte(fmt.Sprintf("batch/p%d/s%d/", party, slot))
-		for len(p) < size {
-			p = append(p, byte('a'+len(p)%26))
-		}
-		return p[:size]
-	}
-	bytesMoved := map[bool]uint64{}
-	for _, noCoded := range []bool{false, true} {
-		c, err := New(Config{N: 4, T: 1, Seed: 5, Coin: CoinLocal, CoinRounds: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ledger, err := c.RunAtomicBroadcast(AtomicBroadcastSpec{
-			Session: "codedtoggle", Slots: slots, NoCodedBroadcast: noCoded,
-			Payloads: payload,
-		})
-		if err != nil {
-			t.Fatalf("noCoded=%v: %v", noCoded, err)
-		}
-		if len(ledger) < slots*3 {
-			t.Fatalf("noCoded=%v: ledger has %d entries, want ≥ %d", noCoded, len(ledger), slots*3)
-		}
-		for _, e := range ledger {
-			if want := payload(e.Party, e.Slot); string(e.Payload) != string(want) {
-				t.Fatalf("noCoded=%v: slot %d party %d payload differs from proposal", noCoded, e.Slot, e.Party)
-			}
-		}
-		bytesMoved[noCoded] = c.Metrics().Bytes
-		c.Close()
-	}
-	if bytesMoved[false]*2 > bytesMoved[true] {
-		t.Fatalf("coded run moved %d bytes, classic %d — expected ≥ 2x reduction",
-			bytesMoved[false], bytesMoved[true])
 	}
 }

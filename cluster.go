@@ -7,7 +7,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 
 	"asyncft/internal/acs"
 	"asyncft/internal/adversary"
@@ -45,17 +44,43 @@ type Cluster struct {
 	core     core.Config
 	rec      *trace.Recorder // nil unless Config.TraceCapacity > 0
 
-	syncMu sync.Mutex
-	// syncRuns maps an atomic-broadcast session to its per-party slot
-	// stores; each honest party of such a run also serves snapshots for
-	// the cluster's lifetime, which is what SyncFrom and Resume ride.
-	syncRuns map[string]map[int]*acs.Store
-	// reconfigSrcs maps a dynamic-membership session to its shared
-	// operation source, the injection point for Cluster.Reconfigure.
-	reconfigSrcs map[string]*reconfig.Source
-	// shardRuns maps a sharded atomic-broadcast session to its per-party
-	// serving engines, the injection point for Cluster.Submit.
-	shardRuns map[string]map[int]*shard.Engine
+	runMu sync.Mutex
+	// runs maps an atomic-broadcast session to its registration: where
+	// Submit, SyncFrom and Reconfigure find the run. runAdded is closed and
+	// replaced on every registration, so Submit can wait for a session
+	// whose RunAtomicBroadcast call is still on its way.
+	runs     map[string]*ledgerRun
+	runAdded chan struct{}
+}
+
+// ledgerRun is one RunAtomicBroadcast session as the rest of the API
+// reaches it. Every honest party of a run serves snapshots for the
+// cluster's lifetime, which is what SyncFrom and Resume ride.
+type ledgerRun struct {
+	// engines holds a static run's per-party engines, the injection point
+	// for Submit; nil for a dynamic-membership run.
+	engines map[int]*shard.Engine
+	// src is a dynamic-membership run's shared operation source, the
+	// injection point for Reconfigure; nil for a static run.
+	src *reconfig.Source
+	// syncName names the run's state-transfer service for SyncFrom; empty
+	// when the run has more than one shard (one service per shard).
+	syncName string
+}
+
+// registerRun makes a run visible to Submit, SyncFrom and Reconfigure
+// before any slot starts. Re-running a session is a spec error, not a
+// silent reuse.
+func (c *Cluster) registerRun(sess string, r *ledgerRun) error {
+	c.runMu.Lock()
+	defer c.runMu.Unlock()
+	if _, ok := c.runs[sess]; ok {
+		return fmt.Errorf("asyncft: session %q already ran", sess)
+	}
+	c.runs[sess] = r
+	close(c.runAdded)
+	c.runAdded = make(chan struct{})
+	return nil
 }
 
 // Party is the capability bundle handed to custom BehaviorFunc attacks.
@@ -95,9 +120,7 @@ func New(cfg Config) (*Cluster, error) {
 	policy := cfg.policy()
 	var ropts []network.Option
 	c := &Cluster{cfg: cfg, core: cfg.coreConfig(),
-		syncRuns:     make(map[string]map[int]*acs.Store),
-		reconfigSrcs: make(map[string]*reconfig.Source),
-		shardRuns:    make(map[string]map[int]*shard.Engine)}
+		runs: make(map[string]*ledgerRun), runAdded: make(chan struct{})}
 	if cfg.TraceCapacity > 0 {
 		c.rec = trace.New(cfg.TraceCapacity)
 		ropts = append(ropts, network.WithObserver(func(stage string, env wire.Envelope) {
@@ -450,7 +473,7 @@ const MaxLedgerPayloadSize = acs.MaxPayloadSize
 // LedgerEntry is one committed payload of an atomic-broadcast ledger.
 type LedgerEntry struct {
 	// Shard is the ledger shard that committed the payload; always 0
-	// unless the run was sharded (AtomicBroadcastSpec.Shards ≥ 1).
+	// unless the run had several (AtomicBroadcastSpec.Shards > 1).
 	Shard int
 	// Slot is the slot that committed the payload. Party is the payload's
 	// first committer — not a verified author: a Byzantine party can copy
@@ -461,30 +484,31 @@ type LedgerEntry struct {
 	Payload []byte
 }
 
-// AtomicBroadcastSpec configures one RunAtomicBroadcast session.
+// AtomicBroadcastSpec configures one RunAtomicBroadcast session. Shards,
+// Resume and the two batch sources (Payloads, Submit) are independent
+// parameters of one run and combine freely; only DynamicMembership is a
+// driver of its own.
 type AtomicBroadcastSpec struct {
 	// Session namespaces the run, exactly like the other protocol methods.
 	Session string
 	// Slots is the number of atomic-broadcast slots to run (≥ 1). Each
-	// slot commits ≥ N−T parties' batches via CommonSubset over A-Casts.
+	// slot commits ≥ N−T parties' batches — all N when every A-Cast of the
+	// slot delivers everywhere (the unanimous fast path), the CommonSubset
+	// choice otherwise.
 	Slots int
 	// Width bounds how many slots are in flight per party (0 = all): the
 	// pipeline depth, trading memory for throughput. Width 1 degrades to
 	// slot-at-a-time execution — the baseline experiment E11 beats.
 	Width int
-	// Payloads yields the batch a party contributes in a slot; nil (the
-	// function or its result) means the party participates in agreement
+	// Payloads yields the batch a party contributes in a slot (of every
+	// shard); a nil result means the party participates in that slot
 	// without contributing. Batches are capped at MaxLedgerPayloadSize.
 	// The function is called concurrently — from every party's goroutine,
 	// and for multiple slots at once when pipelined — so it must be safe
-	// for concurrent use.
+	// for concurrent use. A nil function leaves the run to be fed through
+	// Cluster.Submit instead: client operations are batched into slots and
+	// acknowledged with their committed position.
 	Payloads func(party, slot int) []byte
-	// NoCodedBroadcast forces every slot A-Cast onto classic full-value
-	// echo, disabling the erasure-coded dispersal fast path that batches
-	// at or above rbc.DefaultCodedThreshold bytes otherwise use. The two
-	// paths produce bit-identical ledgers; this toggle exists for
-	// cross-checks and bandwidth comparisons (experiment E12).
-	NoCodedBroadcast bool
 	// Resume marks parties as restarted replicas: a party mapped to slot
 	// R > 0 skips slots [0, R) entirely — it catches the missed prefix up
 	// via digest-verified state transfer (internal/statesync) from its
@@ -499,22 +523,20 @@ type AtomicBroadcastSpec struct {
 	// DynamicMembership, when non-nil, runs the session under epoch-based
 	// reconfiguration: the member set starts at its Genesis subset and
 	// evolves via membership operations committed on the ledger itself.
-	// See the DynamicMembership type; incompatible with Resume.
+	// See the DynamicMembership type; incompatible with Resume and Shards.
 	DynamicMembership *DynamicMembership
-	// Shards, when ≥ 1, scales the session out horizontally: Shards
-	// independent ledger shards (each its own slot pipeline, fast path and
-	// BCA enabled) run over the shared transport, multiplexed by session
-	// namespacing (internal/shard). A sharded run is fed exclusively
-	// through Cluster.Submit — client operations route to a shard by a
-	// deterministic hash of their stream id, are batched into that shard's
-	// next slot, and are acknowledged with their committed (shard, slot,
-	// index) position. The returned ledger carries every shard's entries
-	// tagged with their Shard. Incompatible with Payloads, Resume, and
+	// Shards scales the session out horizontally: that many independent
+	// ledger shards (each its own slot pipeline) run over the shared
+	// transport, multiplexed by session namespacing (internal/shard); 0
+	// means 1. Cluster.Submit routes a client operation to a shard by a
+	// deterministic hash of its stream id. The returned ledger carries
+	// every shard's entries tagged with their Shard. Incompatible with
 	// DynamicMembership.
 	Shards int
-	// QueueCap bounds each party's per-shard admission queue in a sharded
-	// run (0 = the internal default). Once a queue is full, Submit rejects
-	// with ErrOverloaded — backpressure, never a silent drop.
+	// QueueCap bounds each party's per-shard admission queue in a
+	// Submit-fed run (0 = the internal default). Once a queue is full,
+	// Submit rejects with ErrOverloaded — backpressure, never a silent
+	// drop.
 	QueueCap int
 }
 
@@ -535,26 +557,24 @@ type SubmitPos struct {
 	Shard, Slot, Index int
 }
 
-// RunAtomicBroadcast runs ACS-based asynchronous atomic broadcast
-// (internal/acs): per slot, every party A-Casts its batch, CommonSubset
-// picks an agreed contributor set of ≥ N−T parties, and the agreed batches
-// are appended in party order; slots pipeline Width-wide over the batch
-// engine. It returns the replicated ledger — slot outputs in slot order,
-// deduplicated across slots by payload — after verifying every honest
-// party derived the byte-identical log (a violation is an error, never
-// swallowed, like every other agreement check on Cluster).
+// RunAtomicBroadcast runs ACS-based asynchronous atomic broadcast: per
+// slot, every party A-Casts its batch, the slot commits the full
+// contributor set after one confirmation round when all N broadcasts
+// deliver everywhere and otherwise the ≥ N−T set CommonSubset agrees on,
+// and the agreed batches are appended in party order; slots pipeline
+// Width-wide. One engine per honest party (internal/shard) drives the run
+// — its shards, a resumed party's catch-up and the snapshot servers — and
+// after every engine finishes, each shard's committed slot range must be
+// bit-identical across the honest parties (a violation is an error, never
+// swallowed, like every other agreement check on Cluster). It returns the
+// replicated ledger — per shard, slot outputs in slot order, deduplicated
+// across slots by payload.
 func (c *Cluster) RunAtomicBroadcast(spec AtomicBroadcastSpec) ([]LedgerEntry, error) {
 	if spec.Slots < 1 {
 		return nil, fmt.Errorf("asyncft: RunAtomicBroadcast needs Slots ≥ 1, got %d", spec.Slots)
 	}
-	if spec.Shards > 0 {
-		return c.runShardedBroadcast(spec)
-	}
 	if spec.Shards < 0 {
 		return nil, fmt.Errorf("asyncft: Shards must be ≥ 0, got %d", spec.Shards)
-	}
-	if spec.QueueCap != 0 {
-		return nil, fmt.Errorf("asyncft: QueueCap requires Shards")
 	}
 	if spec.DynamicMembership != nil {
 		return c.runDynamicMembership(spec)
@@ -576,107 +596,41 @@ func (c *Cluster) RunAtomicBroadcast(spec AtomicBroadcastSpec) ([]LedgerEntry, e
 		}
 	}
 	sess := "abc/" + spec.Session
-	cfg := c.core
-	if spec.NoCodedBroadcast {
-		cfg.RBC.CodedThreshold = -1
+	shards := spec.Shards
+	if shards == 0 {
+		shards = 1
 	}
-	stores, fresh := c.registerSyncRun(sess)
-	syncOpts := c.cfg.syncOptions()
-	res := c.run(func(ctx context.Context, env *runtime.Env) (interface{}, error) {
+	run := &ledgerRun{engines: make(map[int]*shard.Engine)}
+	if shards == 1 {
+		run.syncName = shard.Session(sess, 0)
+	}
+	for _, id := range c.Honest() {
 		var input func(int) []byte
 		if spec.Payloads != nil {
-			id := env.ID
+			id := id
 			input = func(slot int) []byte { return spec.Payloads(id, slot) }
 		}
-		store := stores[env.ID]
-		if fresh {
-			// Serve snapshots for the cluster's lifetime: lagging and
-			// resumed peers pull verified chunks while live slots keep
-			// committing. One server set per session, ever.
-			go statesync.Serve(c.ctx, env, sess, store, syncOpts)
-		}
-		from := spec.Resume[env.ID]
-		if from > 0 {
-			// A restarted replica: live participation in [from, Slots) and
-			// catch-up of [0, from) run concurrently.
-			if err := statesync.Resume(ctx, c.ctx, env, sess, store, from, spec.Slots, spec.Width, input, cfg, syncOpts); err != nil {
-				return nil, err
-			}
-		} else if err := acs.RunFrom(ctx, c.ctx, env, sess, 0, spec.Slots, spec.Width, input, cfg, store); err != nil {
+		eng, err := shard.New(c.envs[id], shard.Options{
+			Session:  sess,
+			Shards:   shards,
+			Slots:    spec.Slots,
+			From:     spec.Resume[id],
+			Width:    spec.Width,
+			Input:    input,
+			QueueCap: spec.QueueCap,
+			Core:     c.core,
+			Sync:     c.cfg.syncOptions(),
+		})
+		if err != nil {
 			return nil, err
 		}
-		return store.Ledger(), nil
-	})
-	ids := make([]int, 0, len(res))
-	for id := range res {
-		ids = append(ids, id)
+		run.engines[id] = eng
 	}
-	sort.Ints(ids)
-	ledgers := make(map[int][]acs.Entry, len(res))
-	for _, id := range ids {
-		r := res[id]
-		if r.err != nil {
-			return nil, fmt.Errorf("party %d: %w", id, r.err)
-		}
-		ledgers[id] = r.value.([]acs.Entry)
-	}
-	ref, err := acs.AgreeLedgers(ledgers)
-	if err != nil {
-		return nil, fmt.Errorf("atomic broadcast %s: %w", sess, err)
-	}
-	out := make([]LedgerEntry, len(ref))
-	for i, e := range ref {
-		// Copy the payloads: the ledger aliases a store the snapshot
-		// servers keep serving for the cluster's lifetime, and a caller
-		// mutating its result must not corrupt what peers sync.
-		out[i] = LedgerEntry{Slot: e.Slot, Party: e.Party, Payload: append([]byte(nil), e.Payload...)}
-	}
-	return out, nil
-}
-
-// registerSyncRun creates (once per session) the per-party slot stores
-// behind an atomic-broadcast run and reports whether this call created
-// them — the caller starts the one snapshot server set per party iff so.
-func (c *Cluster) registerSyncRun(sess string) (map[int]*acs.Store, bool) {
-	c.syncMu.Lock()
-	defer c.syncMu.Unlock()
-	if stores, ok := c.syncRuns[sess]; ok {
-		return stores, false
-	}
-	stores := make(map[int]*acs.Store)
-	for _, id := range c.Honest() {
-		stores[id] = acs.NewStore()
-	}
-	c.syncRuns[sess] = stores
-	return stores, true
-}
-
-// runShardedBroadcast is the Shards ≥ 1 arm of RunAtomicBroadcast: one
-// serving engine per honest party, each running Shards independent slot
-// pipelines over the shared transport, fed through Cluster.Submit. After
-// every engine finishes, each shard's committed slot range must be
-// bit-identical across the honest parties — the per-shard form of the
-// agreement check every other Cluster method performs.
-func (c *Cluster) runShardedBroadcast(spec AtomicBroadcastSpec) ([]LedgerEntry, error) {
-	switch {
-	case spec.Payloads != nil:
-		return nil, fmt.Errorf("asyncft: Shards is incompatible with Payloads (submit through Cluster.Submit)")
-	case len(spec.Resume) > 0:
-		return nil, fmt.Errorf("asyncft: Shards is incompatible with Resume")
-	case spec.DynamicMembership != nil:
-		return nil, fmt.Errorf("asyncft: Shards is incompatible with DynamicMembership")
-	}
-	sess := "abc/" + spec.Session
-	cfg := c.core
-	if spec.NoCodedBroadcast {
-		cfg.RBC.CodedThreshold = -1
-	}
-	engines, err := c.registerShardRun(sess, spec, cfg)
-	if err != nil {
+	if err := c.registerRun(sess, run); err != nil {
 		return nil, err
 	}
 	res := c.run(func(ctx context.Context, env *runtime.Env) (interface{}, error) {
-		return nil, engines[env.ID].Run(ctx, c.ctx)
+		return nil, run.engines[env.ID].Run(ctx, c.ctx)
 	})
 	ids := make([]int, 0, len(res))
 	for id := range res {
@@ -688,24 +642,26 @@ func (c *Cluster) runShardedBroadcast(spec AtomicBroadcastSpec) ([]LedgerEntry, 
 			return nil, fmt.Errorf("party %d: %w", id, res[id].err)
 		}
 	}
-	// Per-shard agreement: every committed slot of every shard must be
-	// byte-identical across the honest parties (stronger than comparing
-	// deduplicated ledgers — ack positions hang off slots).
+	// Every committed slot of every shard must be byte-identical across
+	// the honest parties — stronger than comparing deduplicated ledgers
+	// (ack positions hang off slots), and it implies them.
 	var out []LedgerEntry
-	for s := 0; s < spec.Shards; s++ {
+	for s := 0; s < shards; s++ {
 		var ref []byte
-		refParty := -1
 		for _, id := range ids {
-			st := engines[id].Store(s)
+			st := run.engines[id].Store(s)
 			enc, _ := st.EncodeRange(0, st.Next())
-			if refParty < 0 {
-				ref, refParty = enc, id
+			if id == ids[0] {
+				ref = enc
 			} else if !bytes.Equal(ref, enc) {
-				return nil, fmt.Errorf("sharded broadcast %s: shard %d ledger at party %d differs from party %d",
-					sess, s, id, refParty)
+				return nil, fmt.Errorf("atomic broadcast %s: shard %d ledger at party %d differs from party %d",
+					sess, s, id, ids[0])
 			}
 		}
-		for _, e := range engines[ids[0]].Ledger(s) {
+		for _, e := range run.engines[ids[0]].Ledger(s) {
+			// Copy the payloads: the ledger aliases a store the snapshot
+			// servers keep serving for the cluster's lifetime, and a caller
+			// mutating its result must not corrupt what peers sync.
 			out = append(out, LedgerEntry{Shard: s, Slot: e.Slot, Party: e.Party,
 				Payload: append([]byte(nil), e.Payload...)})
 		}
@@ -713,43 +669,15 @@ func (c *Cluster) runShardedBroadcast(spec AtomicBroadcastSpec) ([]LedgerEntry, 
 	return out, nil
 }
 
-// registerShardRun creates (once per session) the per-party serving
-// engines behind a sharded run, making them visible to Submit before any
-// slot starts. Re-running a session is a spec error, not a silent reuse.
-func (c *Cluster) registerShardRun(sess string, spec AtomicBroadcastSpec, cfg core.Config) (map[int]*shard.Engine, error) {
-	c.syncMu.Lock()
-	defer c.syncMu.Unlock()
-	if _, ok := c.shardRuns[sess]; ok {
-		return nil, fmt.Errorf("asyncft: sharded session %q already ran", sess)
-	}
-	engines := make(map[int]*shard.Engine)
-	for _, id := range c.Honest() {
-		eng, err := shard.New(c.envs[id], shard.Options{
-			Session:  sess,
-			Shards:   spec.Shards,
-			Slots:    spec.Slots,
-			Width:    spec.Width,
-			QueueCap: spec.QueueCap,
-			Core:     cfg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		engines[id] = eng
-	}
-	c.shardRuns[sess] = engines
-	return engines, nil
-}
-
-// Submit routes one client operation into a sharded atomic-broadcast run
-// (AtomicBroadcastSpec.Shards ≥ 1) through the front door at party. The
-// stream id fixes the shard (the same stream always lands on the same
-// shard, at every party); the call blocks until the op commits and
-// returns its position, identical at every honest party. ErrOverloaded
-// reports a full admission queue — retry against backpressure, nothing
-// was enqueued. Submit may be called as soon as RunAtomicBroadcast has
-// been started (typically from another goroutine, since that call blocks
-// until the run completes); it waits for the session's engines to appear.
+// Submit routes one client operation into a RunAtomicBroadcast session
+// that has no Payloads, through the front door at party. The stream id
+// fixes the shard (the same stream always lands on the same shard, at
+// every party); the call blocks until the op commits and returns its
+// position, identical at every honest party. ErrOverloaded reports a full
+// admission queue — retry against backpressure, nothing was enqueued.
+// Submit may be called as soon as RunAtomicBroadcast has been started
+// (typically from another goroutine, since that call blocks until the run
+// completes); it waits for the session to register.
 func (c *Cluster) Submit(session string, party int, stream, payload []byte) (SubmitPos, error) {
 	if party < 0 || party >= c.cfg.N {
 		return SubmitPos{}, fmt.Errorf("asyncft: Submit party %d out of range", party)
@@ -757,24 +685,25 @@ func (c *Cluster) Submit(session string, party int, stream, payload []byte) (Sub
 	if _, bad := c.cfg.Byzantine[party]; bad {
 		return SubmitPos{}, fmt.Errorf("asyncft: Submit party %d is Byzantine", party)
 	}
-	sess := "abc/" + session
-	var eng *shard.Engine
-	for eng == nil {
-		c.syncMu.Lock()
-		if m, ok := c.shardRuns[sess]; ok {
-			eng = m[party]
-		}
-		c.syncMu.Unlock()
-		if eng != nil {
+	var run *ledgerRun
+	for {
+		c.runMu.Lock()
+		run = c.runs["abc/"+session]
+		added := c.runAdded
+		c.runMu.Unlock()
+		if run != nil {
 			break
 		}
 		select {
+		case <-added:
 		case <-c.ctx.Done():
-			return SubmitPos{}, fmt.Errorf("asyncft: Submit: no sharded run with session %q", session)
-		case <-time.After(time.Millisecond):
+			return SubmitPos{}, fmt.Errorf("asyncft: Submit: no atomic-broadcast run with session %q", session)
 		}
 	}
-	pos, err := eng.Submit(c.ctx, stream, payload)
+	if run.engines == nil {
+		return SubmitPos{}, fmt.Errorf("asyncft: Submit: session %q is a dynamic-membership run", session)
+	}
+	pos, err := run.engines[party].Submit(c.ctx, stream, payload)
 	if err != nil {
 		return SubmitPos{}, err
 	}
@@ -788,7 +717,8 @@ func (c *Cluster) Submit(session string, party int, stream, payload []byte) (Sub
 // honest servers have committed slot hi — so it may be called while the
 // run is still in flight — and inherits statesync's Byzantine guarantees:
 // lying servers cause at most a rejected response and a retry against
-// another peer.
+// another peer. It names no shard, so a session with Shards > 1 is an
+// error.
 func (c *Cluster) SyncFrom(session string, party, lo, hi int) ([]LedgerEntry, error) {
 	if party < 0 || party >= c.cfg.N {
 		return nil, fmt.Errorf("asyncft: SyncFrom party %d out of range", party)
@@ -796,14 +726,16 @@ func (c *Cluster) SyncFrom(session string, party, lo, hi int) ([]LedgerEntry, er
 	if _, bad := c.cfg.Byzantine[party]; bad {
 		return nil, fmt.Errorf("asyncft: SyncFrom party %d is Byzantine", party)
 	}
-	sess := "abc/" + session
-	c.syncMu.Lock()
-	_, known := c.syncRuns[sess]
-	c.syncMu.Unlock()
-	if !known {
+	c.runMu.Lock()
+	run := c.runs["abc/"+session]
+	c.runMu.Unlock()
+	if run == nil {
 		return nil, fmt.Errorf("asyncft: SyncFrom: no atomic-broadcast run with session %q", session)
 	}
-	slots, err := statesync.Fetch(c.ctx, c.envs[party], sess, lo, hi, nil, c.cfg.syncOptions())
+	if run.syncName == "" {
+		return nil, fmt.Errorf("asyncft: SyncFrom: session %q has more than one shard", session)
+	}
+	slots, err := statesync.Fetch(c.ctx, c.envs[party], run.syncName, lo, hi, nil, c.cfg.syncOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -19,35 +19,40 @@
 // instead of paying full protocol latency K times. All processes must use
 // the same -batch value.
 //
-// -mode abc switches the node to ACS-based atomic broadcast (internal/acs):
-// every party contributes one batch per slot (derived from -input), -slots
-// slots pipeline -width wide, and the node prints the replicated ledger
+// -mode abc runs the atomic-broadcast ledger (internal/shard driving
+// internal/acs): -slots slots pipeline -width wide, a slot commits all n
+// batches after one confirmation round when every A-Cast delivers
+// everywhere and falls back to CommonSubset over BCA agreement otherwise,
+// and batches of at least rbc.DefaultCodedThreshold bytes are dispersed
+// erasure-coded. That is the one configuration the binary starts; the
+// slower slot paths exist as oracles for internal/experiments and the acs
+// tests, not as deployment switches. The node prints the replicated ledger
 // plus its SHA-256 digest — identical at every party, which is the whole
-// point. All processes must use the same -slots and -width values. Batches
-// of at least rbc.DefaultCodedThreshold bytes are A-Cast via erasure-coded
-// dispersal (fragments + digest); -no-coded forces classic full-value echo
-// for this node's own proposals (the flag is sender-local — mixed
-// configurations interoperate and still replicate identically).
+// point. All processes must use the same -slots, -width and -shards.
 //
-// In -mode abc every node also runs a snapshot server (internal/
-// statesync): it serves digest-chain-verified ledger ranges out of its
-// slot store, concurrently with the live slots. -resume R turns the node
-// into a restarted replica: it skips slots [0, R) entirely, catches them
-// up via state transfer from its peers (verifying every chunk against a
-// t+1-agreed digest head), participates live in slots [R, slots), and
-// prints the same bit-identical ledger as everyone else. -grace tunes how
-// long a finished node lingers to serve slower or catching-up peers.
+// Three independent parameters shape the run and combine freely:
 //
-// -shards S switches -mode abc to the sharded serving plane (internal/
-// shard): S independent ledger shards run over the node's one transport,
-// and -serve addr opens a client-facing HTTP front door. Clients POST
-// /submit?stream=ID with the payload as the body; the op routes to a
-// shard by a deterministic hash of its stream id, rides that shard's
-// next slot, and the response is its committed (shard, slot, index)
-// position — identical at every party. -queue bounds the per-shard
-// admission queue; a full queue answers 429 immediately. All processes
-// must use the same -shards, -slots and -width values; -serve and
-// -queue are node-local.
+//   - -shards S runs S independent ledger shards over the node's one
+//     transport (0 = one, printed unsharded); every shard prints its own
+//     listing and digest.
+//   - -resume R turns the node into a restarted replica: per shard it
+//     skips slots [0, R), catches them up via state transfer from its
+//     peers (verifying every chunk against a t+1-agreed digest head),
+//     participates live in slots [R, slots), and prints the same
+//     bit-identical ledger as everyone else. Every node serves
+//     digest-chain-verified ranges of its slot stores (internal/
+//     statesync) concurrently with the live slots; -grace tunes how long a
+//     finished node lingers to serve slower or catching-up peers.
+//   - -serve addr opens a client-facing HTTP front door, and the ledger
+//     then carries client operations instead of the -input batches
+//     (without it every party contributes one -input-derived batch per
+//     slot). Clients POST /submit?stream=ID with the payload as the body;
+//     the op routes to a shard by a deterministic hash of its stream id,
+//     rides that shard's next slot, and the response is its committed
+//     (shard, slot, index) position — identical at every party. -queue
+//     bounds the per-shard admission queue; a full queue answers 429
+//     immediately. -serve must be set at every node or at none; the
+//     address and -queue are node-local.
 //
 // -members switches -mode abc to dynamic membership (internal/reconfig):
 // the ledger starts on the listed genesis subset of the peer universe and
@@ -100,6 +105,7 @@ import (
 	"asyncft/internal/rbc"
 	"asyncft/internal/reconfig"
 	"asyncft/internal/runtime"
+	"asyncft/internal/shard"
 	"asyncft/internal/statesync"
 	"asyncft/internal/svss"
 	"asyncft/internal/trace"
@@ -125,10 +131,6 @@ type options struct {
 	shards   int
 	serve    string
 	queue    int
-	noCoded  bool
-	fastPath bool
-	bca      bool
-	agTrace  bool
 	seed     int64
 	timeout  time.Duration
 	grace    time.Duration
@@ -156,7 +158,7 @@ func main() {
 	tf := flag.Int("t", 1, "fault tolerance (3t+1 ≤ n)")
 	mode := flag.String("mode", "proto", "proto (single-protocol instances) | abc (atomic broadcast ledger) | mpc (secure circuit evaluation)")
 	protocol := flag.String("protocol", "coinflip", "rbc | svss | ba | coinflip")
-	input := flag.String("input", "hello", "rbc: value broadcast by party 0; abc: batch prefix")
+	input := flag.String("input", "hello", "rbc: value broadcast by party 0; abc: batch prefix (unused with -serve)")
 	secret := flag.Uint64("secret", 42, "svss: secret dealt by party 0")
 	x := flag.Uint64("x", 0, "mpc: this party's private input (0 = derived from id)")
 	bit := flag.Int("bit", 0, "ba: this party's input bit")
@@ -164,14 +166,10 @@ func main() {
 	batchK := flag.Int("batch", 1, "concurrent protocol instances pipelined over the transport (same value at every party)")
 	slots := flag.Int("slots", 4, "abc: number of atomic-broadcast slots (same value at every party)")
 	width := flag.Int("width", 0, "abc: slots in flight at once (0 = all; same value at every party)")
-	noCoded := flag.Bool("no-coded", false, "abc: disable erasure-coded A-Cast dispersal (classic full-value echo)")
-	fastPath := flag.Bool("fastpath", false, "abc: unanimous-slot fast path — commit the full contributor set after one confirmation round when all n A-Casts deliver (same value at every party; implies -bca, whose unanimous-input validity the fallback requires)")
-	bca := flag.Bool("bca", false, "abc: BCA-based binary agreement rounds with AUX→VAL vote reuse (same value at every party)")
-	agTrace := flag.Bool("agreetrace", false, "abc: dump per-slot agreement milestones (fast commits, fallbacks, rounds) after the ledger")
-	resume := flag.Int("resume", 0, "abc: restarted-replica mode — skip slots [0,resume), catch them up via state transfer from peers, then join live slots")
-	shards := flag.Int("shards", 0, "abc: run this many independent ledger shards over the shared transport, fed via -serve (0 = unsharded; same value at every party)")
-	serve := flag.String("serve", "", "abc sharded: client front door address (host:port) serving POST /submit and GET /log (empty = disabled)")
-	queue := flag.Int("queue", 0, "abc sharded: per-shard admission queue capacity; a full queue answers 429 (0 = default)")
+	resume := flag.Int("resume", 0, "abc: restarted replica — skip slots [0,resume) of every shard, catch them up via state transfer from peers, join the live slots")
+	shards := flag.Int("shards", 0, "abc: run this many independent ledger shards over the shared transport (0 = one, printed unsharded; same value at every party)")
+	serve := flag.String("serve", "", "abc: client front door address (host:port) serving POST /submit and GET /log; the ledger then carries client ops instead of -input batches (set at every party or none)")
+	queue := flag.Int("queue", 0, "abc: per-shard admission queue capacity behind -serve; a full queue answers 429 (0 = default)")
 	members := flag.String("members", "", "abc: comma-separated genesis member ids — enables dynamic membership (same value at every node)")
 	submit := flag.String("submit", "", "abc dynamic: membership ops to propose, e.g. 2:+4@127.0.0.1:7004,6:-1")
 	retire := flag.Int("retire", 0, "abc dynamic: propose this node's own removal at the given slot (0 = never)")
@@ -187,9 +185,8 @@ func main() {
 	o := options{
 		id: *id, t: *tf, mode: *mode, protocol: *protocol, input: *input,
 		secret: *secret, x: *x, bit: *bit, k: *k, batch: *batchK, slots: *slots,
-		width: *width, resume: *resume, noCoded: *noCoded,
-		shards: *shards, serve: *serve, queue: *queue,
-		fastPath: *fastPath, bca: *bca, agTrace: *agTrace, seed: *seed,
+		width: *width, resume: *resume,
+		shards: *shards, serve: *serve, queue: *queue, seed: *seed,
 		timeout: *timeout, grace: *grace, retire: *retire, lag: *lagFlag,
 		pace: *pace, obsAddr: *obsAddr, traceFile: *traceFile,
 	}
@@ -216,10 +213,10 @@ type obsState struct {
 	reg *obs.Registry
 	rec *trace.Recorder
 
-	// syncStore/syncTarget are set by runLedger before state transfer
-	// starts: /readyz stays 503 until the store's contiguous prefix
-	// reaches the resume target.
-	syncStore  atomic.Pointer[acs.Store]
+	// syncing is set by runLedger before a resuming node's state transfer
+	// starts: /readyz stays 503 until every shard store's contiguous
+	// prefix reaches syncTarget, the resume slot.
+	syncing    atomic.Pointer[shard.Engine]
 	syncTarget int
 }
 
@@ -269,8 +266,12 @@ func runNode(o options, out io.Writer) error {
 			if got, need := tcp.ConnectedPeers()+1, n-o.t; got < need {
 				return fmt.Errorf("connected to %d/%d parties (need %d)", got, n, need)
 			}
-			if st := ob.syncStore.Load(); st != nil && st.Next() < ob.syncTarget {
-				return fmt.Errorf("state transfer at slot %d/%d", st.Next(), ob.syncTarget)
+			if eng := ob.syncing.Load(); eng != nil {
+				for s := 0; s < eng.Shards(); s++ {
+					if at := eng.Store(s).Next(); at < ob.syncTarget {
+						return fmt.Errorf("state transfer of shard %d at slot %d/%d", s, at, ob.syncTarget)
+					}
+				}
 			}
 			return nil
 		}
@@ -328,11 +329,10 @@ func runNode(o options, out io.Writer) error {
 	return nil
 }
 
-// runLedger is -mode abc: the ACS-based atomic broadcast ledger. Every
-// node records its slots into an acs.Store and serves digest-verified
-// snapshots from it over the transport, so restarted replicas (-resume R)
-// can catch up [0, R) via internal/statesync while participating live in
-// the remaining slots — and still print the bit-identical ledger.
+// runLedger is -mode abc: the atomic-broadcast ledger. A static member
+// set runs one shard.Engine — -shards, -resume and the batch source
+// (-input, or the -serve front door) are its parameters; -members hands
+// over to the dynamic-membership driver.
 func runLedger(ctx context.Context, env *runtime.Env, o options, ob *obsState, out io.Writer) error {
 	if o.slots < 1 {
 		return fmt.Errorf("-slots must be ≥ 1, got %d", o.slots)
@@ -340,73 +340,91 @@ func runLedger(ctx context.Context, env *runtime.Env, o options, ob *obsState, o
 	if o.resume < 0 || o.resume >= o.slots {
 		return fmt.Errorf("-resume must be in [0, slots), got %d", o.resume)
 	}
-	cfg := core.Config{K: o.k, Eps: 0.1, InnerCoin: core.InnerCoinLocal}
-	if o.noCoded {
-		cfg.RBC.CodedThreshold = -1
-	}
-	cfg.FastPath = o.fastPath
-	cfg.BA.UseBCA = o.bca
-	cfg.Metrics = ob.reg
-	// Agreement-core observability: rounds per decision and fast-path hit
-	// rate. These are per-party (a resumed replica runs fewer slots live),
-	// so they go to the log, keeping stdout bit-identical across parties.
-	cfg.Stats = &core.AgreementStats{}
-	rec := ob.rec
-	if rec == nil {
-		rec = trace.New(4 * o.slots)
-	}
-	cfg.Trace = rec
-	printAgreement := func() {
-		log.Printf("party %d agreement: %s", env.ID, cfg.Stats.String())
-		if o.agTrace {
-			rec.Dump(os.Stderr)
-		}
-	}
-	const sess = "node/abc"
 	if o.shards < 0 {
 		return fmt.Errorf("-shards must be ≥ 0, got %d", o.shards)
 	}
-	if o.shards > 0 {
-		if len(o.members) > 0 || o.resume > 0 {
-			return fmt.Errorf("-shards is incompatible with -members and -resume")
-		}
-		return runShardedLedger(ctx, env, o, sess, cfg, printAgreement, out)
-	}
-	if o.serve != "" || o.queue != 0 {
-		return fmt.Errorf("-serve and -queue require -shards")
-	}
+	cfg := core.Config{K: o.k, Eps: 0.1, InnerCoin: core.InnerCoinLocal, Metrics: ob.reg, Trace: ob.rec}
+	const sess = "node/abc"
 	if len(o.members) > 0 {
-		return runDynamicLedger(ctx, env, o, sess, cfg, printAgreement, out)
+		if o.shards > 0 || o.resume > 0 || o.serve != "" {
+			return fmt.Errorf("-members is incompatible with -shards, -resume and -serve")
+		}
+		defer logAgreement(env.ID, ob.reg)
+		return runDynamicLedger(ctx, env, o, sess, cfg, out)
 	}
-	store := acs.NewStore()
+	// With a front door the admission queue feeds the slots; without one
+	// nothing could ever reach the queue, so -input does.
+	var input func(slot int) []byte
+	if o.serve == "" {
+		input = func(slot int) []byte {
+			return []byte(fmt.Sprintf("%s/p%d/s%d", o.input, env.ID, slot))
+		}
+	}
+	shards := o.shards
+	if shards == 0 {
+		shards = 1
+	}
+	eng, err := shard.New(env, shard.Options{
+		Session:  sess,
+		Shards:   shards,
+		Slots:    o.slots,
+		From:     o.resume,
+		Width:    o.width,
+		Input:    input,
+		QueueCap: o.queue,
+		Core:     cfg,
+		Sync:     statesync.Options{Metrics: ob.reg},
+	})
+	if err != nil {
+		return err
+	}
 	if o.resume > 0 {
 		// /readyz additionally waits for the missed prefix to install.
 		ob.syncTarget = o.resume
-		ob.syncStore.Store(store)
+		ob.syncing.Store(eng)
 	}
-	syncOpts := statesync.Options{Metrics: ob.reg}
-	go statesync.Serve(ctx, env, sess, store, syncOpts)
-	input := func(slot int) []byte {
-		return []byte(fmt.Sprintf("%s/p%d/s%d", o.input, env.ID, slot))
-	}
-	log.Printf("party %d/%d on %s: atomic broadcast, %d slot(s) width %d coded=%v resume=%d",
-		env.ID, env.N, addrOf(env), o.slots, o.width, !o.noCoded, o.resume)
-	if o.resume > 0 {
-		// Restarted replica: catch up the missed prefix and run the live
-		// slots concurrently; both must finish before the ledger prints.
-		if err := statesync.Resume(ctx, ctx, env, sess, store, o.resume, o.slots, o.width, input, cfg, syncOpts); err != nil {
+	log.Printf("party %d/%d on %s: atomic broadcast, %d shard(s) × %d slot(s) width %d resume=%d queue %d",
+		env.ID, env.N, addrOf(env), shards, o.slots, o.width, o.resume, o.queue)
+	if o.serve != "" {
+		stop, err := serveClients(env.ID, o.serve, eng)
+		if err != nil {
 			return err
 		}
-	} else if err := acs.RunFrom(ctx, ctx, env, sess, 0, o.slots, o.width, input, cfg, store); err != nil {
+		defer stop()
+	}
+	if err := eng.Run(ctx, ctx); err != nil {
 		return err
 	}
-	ledger := store.Ledger()
-	for i, e := range ledger {
-		fmt.Fprintf(out, "ledger[%d] slot=%d party=%d payload=%q\n", i, e.Slot, e.Party, e.Payload)
+	for s := 0; s < shards; s++ {
+		name := "ledger"
+		if o.shards > 0 {
+			name = fmt.Sprintf("shard[%d]", s)
+		}
+		ledger := eng.Ledger(s)
+		if input == nil {
+			writeShardLog(out, eng, s)
+		} else {
+			for i, e := range ledger {
+				fmt.Fprintf(out, "%s[%d] slot=%d party=%d payload=%q\n", name, i, e.Slot, e.Party, e.Payload)
+			}
+		}
+		fmt.Fprintf(out, "%s digest: %x (%d entries)\n", name, acs.Digest(ledger), len(ledger))
 	}
-	printAgreement()
-	fmt.Fprintf(out, "ledger digest: %x (%d entries)\n", acs.Digest(ledger), len(ledger))
+	logAgreement(env.ID, ob.reg)
 	return nil
+}
+
+// logAgreement reports the agreement core's work from the node's metrics
+// registry: fast-path hit rate and BA rounds per decision. The numbers are
+// per party (a resumed replica runs fewer slots live), so they go to the
+// log, keeping stdout bit-identical across parties.
+func logAgreement(id int, reg *obs.Registry) {
+	if reg == nil {
+		return
+	}
+	log.Printf("party %d agreement: slots=%.0f fast=%.0f fallback=%.0f ba=%.0f rounds=%.0f", id,
+		reg.Total("acs_slots_committed_total"), reg.Total("acs_fastpath_hits_total"),
+		reg.Total("acs_fastpath_fallbacks_total"), reg.Total("ba_decisions_total"), reg.Total("ba_rounds_total"))
 }
 
 // runDynamicLedger is -mode abc with -members: the dynamic-membership
@@ -416,7 +434,7 @@ func runLedger(ctx context.Context, env *runtime.Env, o options, ob *obsState, o
 // digest and final member set as every other node. Committed AddParty
 // operations that carry an address feed the transport's peer table, which
 // is how existing members learn a joiner's endpoint mid-run.
-func runDynamicLedger(ctx context.Context, env *runtime.Env, o options, sess string, cfg core.Config, printAgreement func(), out io.Writer) error {
+func runDynamicLedger(ctx context.Context, env *runtime.Env, o options, sess string, cfg core.Config, out io.Writer) error {
 	src := reconfig.NewSource(o.submits...)
 	if o.retire > 0 {
 		src.Schedule(reconfig.ScheduledChange{
@@ -463,7 +481,6 @@ func runDynamicLedger(ctx context.Context, env *runtime.Env, o options, sess str
 	for i, e := range res.Ledger {
 		fmt.Fprintf(out, "ledger[%d] slot=%d party=%d payload=%q\n", i, e.Slot, e.Party, e.Payload)
 	}
-	printAgreement()
 	fmt.Fprintf(out, "ledger digest: %x (%d entries)\n", acs.Digest(res.Ledger), len(res.Ledger))
 	fmt.Fprintf(out, "final members: %v (%d epochs)\n", res.FinalMembers, res.Epochs)
 	return nil

@@ -108,10 +108,9 @@ func TestE2EAtomicBroadcastLedger(t *testing.T) {
 	}
 }
 
-// TestE2ECodedLedgerOverTCP drives the erasure-coded dispersal fast path
-// over real sockets: batch prefixes longer than rbc.DefaultCodedThreshold
-// force every slot A-Cast coded, and one party runs -no-coded to prove
-// mixed configurations still replicate byte-identically.
+// TestE2ECodedLedgerOverTCP drives erasure-coded dispersal over real
+// sockets: batch prefixes longer than rbc.DefaultCodedThreshold force
+// every slot A-Cast coded.
 func TestE2ECodedLedgerOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns TCP listeners")
@@ -121,8 +120,7 @@ func TestE2ECodedLedgerOverTCP(t *testing.T) {
 	outs := launch(t, n, func(id int, peers []string) options {
 		return options{
 			id: id, peers: peers, t: 1, mode: "abc", input: big,
-			noCoded: id == 3, // sender-local toggle: mixed flavors must interoperate
-			k:       1, batch: 1, slots: slots, width: 0, timeout: 90 * time.Second,
+			k: 1, batch: 1, slots: slots, width: 0, timeout: 90 * time.Second,
 		}
 	})
 	for id, out := range outs {
@@ -135,11 +133,11 @@ func TestE2ECodedLedgerOverTCP(t *testing.T) {
 	}
 }
 
-// TestE2EFastPathLedgerOverTCP runs the agreement-core optimizations over
-// real sockets: -fastpath and -bca at every node. All-honest loopback
-// delivery means every slot should fast-commit the FULL contributor set (n
-// entries per slot, strictly more than the classic path's n−t floor), and
-// the listing must stay byte-identical.
+// TestE2EFastPathLedgerOverTCP runs the unanimous-slot fast path over
+// real sockets. All-honest loopback delivery means every slot should
+// fast-commit the FULL contributor set (n entries per slot, strictly more
+// than full agreement's n−t floor), and the listing must stay
+// byte-identical.
 func TestE2EFastPathLedgerOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns TCP listeners")
@@ -148,7 +146,6 @@ func TestE2EFastPathLedgerOverTCP(t *testing.T) {
 	outs := launch(t, n, func(id int, peers []string) options {
 		return options{
 			id: id, peers: peers, t: 1, mode: "abc", input: "tx",
-			fastPath: true, bca: true,
 			k: 1, batch: 1, slots: slots, width: 0, timeout: 90 * time.Second,
 		}
 	})
@@ -304,6 +301,52 @@ func TestE2EResumeCatchesUp32SlotLag(t *testing.T) {
 	}
 }
 
+// TestE2EShardedResumeOverTCP composes the two parameters the binary used
+// to reject together: 4 nodes run -shards 2, node 3 as a restarted replica
+// (-resume R). It catches up both shards' prefixes via state transfer
+// while running their live slots, and every node must print the same
+// per-shard listings and digests.
+func TestE2EShardedResumeOverTCP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns TCP listeners")
+	}
+	const n, shards, slots, lag = 4, 2, 12, 8
+	outs := launch(t, n, func(id int, peers []string) options {
+		o := options{
+			id: id, peers: peers, t: 1, mode: "abc", input: "tx",
+			k: 1, batch: 1, slots: slots, width: 4, shards: shards,
+			timeout: 120 * time.Second, grace: 3 * time.Second,
+		}
+		if id == 3 {
+			o.resume = lag
+		}
+		return o
+	})
+	for id, out := range outs {
+		if outs[0] != out {
+			t.Fatalf("sharded listings differ between party 0 and party %d:\n%s\n---\n%s", id, outs[0], out)
+		}
+	}
+	for s := 0; s < shards; s++ {
+		if !strings.Contains(outs[3], fmt.Sprintf("shard[%d] digest: ", s)) {
+			t.Fatalf("no digest line for shard %d:\n%s", s, outs[3])
+		}
+		// The resumed node never ran slots [0, lag) of either shard, yet
+		// lists entries committed there, and its own batches (which only
+		// live slots can carry) after.
+		if !strings.Contains(outs[3], fmt.Sprintf("shard[%d][0] slot=0 ", s)) {
+			t.Fatalf("resumed party's shard %d is missing slot 0:\n%s", s, outs[3])
+		}
+		own := false
+		for _, l := range strings.Split(outs[3], "\n") {
+			own = own || strings.HasPrefix(l, fmt.Sprintf("shard[%d][", s)) && strings.Contains(l, " party=3 ")
+		}
+		if !own {
+			t.Fatalf("resumed party never committed a batch of its own on shard %d:\n%s", s, outs[3])
+		}
+	}
+}
+
 func TestRunNodeRejectsBadResume(t *testing.T) {
 	peers := freeAddrs(t, 4)
 	o := options{
@@ -409,7 +452,7 @@ func httpGet(t *testing.T, url string) (int, string) {
 }
 
 // TestE2EObservabilityEndpoint drives the full observability plane over
-// loopback TCP: 4 nodes in -mode abc with -fastpath, each serving its
+// loopback TCP: 4 nodes in -mode abc, each serving its
 // operational HTTP endpoint (-obs) and dumping Chrome-trace JSON
 // (-tracefile). It asserts the readiness lifecycle — /healthz answers
 // immediately, /readyz stays 503 while the node lacks its n−t peer quorum
@@ -429,7 +472,6 @@ func TestE2EObservabilityEndpoint(t *testing.T) {
 	mk := func(id int) options {
 		return options{
 			id: id, peers: peers, t: 1, mode: "abc", input: "tx",
-			fastPath: true, bca: true,
 			k: 1, batch: 1, slots: slots, width: 0,
 			timeout: 90 * time.Second, grace: 5 * time.Second,
 			obsAddr: obsAddrs[id], traceFile: traceFile(id),

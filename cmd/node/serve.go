@@ -11,65 +11,33 @@ import (
 	"net/http"
 	"time"
 
-	"asyncft/internal/acs"
-	"asyncft/internal/core"
-	"asyncft/internal/runtime"
 	"asyncft/internal/shard"
 )
 
-// runShardedLedger is -mode abc with -shards S: the node runs S
-// independent ledger shards over its one transport (internal/shard) and,
-// with -serve, opens a client-facing HTTP front door. Clients POST
-// /submit?stream=ID with the payload as the request body; the handler
-// routes the op to its shard (deterministic hash of the stream id),
-// long-polls until the op commits, and acks with its (shard, slot,
+// serveClients opens the -serve front door over the node's engine.
+// Clients POST /submit?stream=ID with the payload as the request body; the
+// handler routes the op to its shard (deterministic hash of the stream
+// id), long-polls until the op commits, and acks with its (shard, slot,
 // index) position as JSON — identical at every party. A full admission
 // queue answers 429 immediately (backpressure, never a silent drop); an
 // op that misses the run's final slot answers 503. GET /log streams the
 // committed ops so far in the same deterministic format the node prints
-// on exit.
-func runShardedLedger(ctx context.Context, env *runtime.Env, o options, sess string, cfg core.Config, printAgreement func(), out io.Writer) error {
-	eng, err := shard.New(env, shard.Options{
-		Session:  sess,
-		Shards:   o.shards,
-		Slots:    o.slots,
-		Width:    o.width,
-		QueueCap: o.queue,
-		Core:     cfg,
-	})
+// on exit. The returned stop function shuts the door down, letting
+// in-flight acks flush (the engine has resolved every pending submission
+// by the time its Run returns).
+func serveClients(id int, addr string, eng *shard.Engine) (stop func(), err error) {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("serve endpoint: %w", err)
 	}
-	log.Printf("party %d/%d on %s: sharded atomic broadcast, %d shard(s) × %d slot(s) width %d queue %d",
-		env.ID, env.N, addrOf(env), o.shards, o.slots, o.width, o.queue)
-
-	if o.serve != "" {
-		ln, err := net.Listen("tcp", o.serve)
-		if err != nil {
-			return fmt.Errorf("serve endpoint: %w", err)
-		}
-		srv := &http.Server{Handler: serveMux(eng)}
-		go func() { _ = srv.Serve(ln) }()
-		log.Printf("party %d client front door on http://%s (/submit /log)", env.ID, ln.Addr())
-		defer func() {
-			// Let in-flight acks flush (the engine has already resolved
-			// every pending submission by the time Run returns).
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(sctx)
-		}()
-	}
-
-	if err := eng.Run(ctx, ctx); err != nil {
-		return err
-	}
-	for s := 0; s < o.shards; s++ {
-		writeShardLog(out, eng, s)
-		ledger := eng.Ledger(s)
-		fmt.Fprintf(out, "shard[%d] digest: %x (%d entries)\n", s, acs.Digest(ledger), len(ledger))
-	}
-	printAgreement()
-	return nil
+	srv := &http.Server{Handler: serveMux(eng)}
+	go func() { _ = srv.Serve(ln) }()
+	log.Printf("party %d client front door on http://%s (/submit /log)", id, ln.Addr())
+	return func() {
+		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(sctx)
+	}, nil
 }
 
 // serveMux builds the client front door for one serving engine.

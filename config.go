@@ -9,6 +9,7 @@ import (
 	"asyncft/internal/ba"
 	"asyncft/internal/core"
 	"asyncft/internal/network"
+	"asyncft/internal/shard"
 	"asyncft/internal/statesync"
 	"asyncft/internal/svss"
 )
@@ -174,7 +175,7 @@ func LyingRevealer(session string, dealer int) Behavior {
 // wrong bytes — typically before any honest server answers. Syncing
 // replicas must reject all of it and complete off the honest peers.
 func LyingSnapshotServer(session string) Behavior {
-	return Behavior{statesync.LyingServer{Session: "abc/" + session}}
+	return Behavior{statesync.LyingServer{Session: shard.Session("abc/"+session, 0)}}
 }
 
 // WrongBytesSnapshotServer returns a Byzantine snapshot server that
@@ -182,7 +183,7 @@ func LyingSnapshotServer(session string) Behavior {
 // bytes for exactly the requested digest. Syncing replicas must reject
 // each response on its digest and retry against an honest peer.
 func WrongBytesSnapshotServer(session string) Behavior {
-	return Behavior{statesync.WrongBytesServer{Session: "abc/" + session}}
+	return Behavior{statesync.WrongBytesServer{Session: shard.Session("abc/"+session, 0)}}
 }
 
 // BehaviorFunc adapts a function into a Behavior for custom attacks; see

@@ -30,22 +30,32 @@
 //
 //   - ACS-based atomic broadcast (RunAtomicBroadcast, internal/acs):
 //     asynchronous total-order broadcast in the BKR/HoneyBadgerBFT lineage
-//     — per slot, every party A-Casts its payload batch, CommonSubset
-//     agrees on ≥ n−t contributors, and the agreed batches form one
-//     replicated, deduplicated ledger, with slots pipelined over the
-//     batch engine. Batches of at least rbc.DefaultCodedThreshold bytes
+//     — per slot, every party A-Casts its payload batch, the slot commits
+//     all n batches after one confirmation round when every broadcast
+//     delivers everywhere and the ≥ n−t contributors CommonSubset agrees
+//     on otherwise, and the agreed batches form one replicated,
+//     deduplicated ledger, with slots pipelined width-bounded. One
+//     shard.Engine per party drives every static ledger — plain, resumed
+//     and sharded alike, so Shards, Resume and the batch source (Payloads
+//     or Cluster.Submit) are parameters that combine, not modes that
+//     exclude each other — always in the fastest sound configuration.
+//     Batches of at least rbc.DefaultCodedThreshold bytes
 //     are A-Cast via erasure-coded dispersal (internal/rbc.RunCoded):
 //     Reed–Solomon fragments + payload digest instead of full-value
 //     echoes, cutting per-party broadcast bandwidth from O(n·|m|) to
 //     O(|m| + n·digest) — measured 2.4–3.1× fewer bytes per party at
 //     1–64 KiB batches (experiment E12) — while up to t Byzantine
 //     parties echoing corrupted fragments are absorbed by
-//     error-corrected reconstruction (internal/rs). Toggle per run with
-//     AtomicBroadcastSpec.NoCodedBroadcast.
+//     error-corrected reconstruction (internal/rs). Dispersal is chosen
+//     by batch size alone; classic echo for large values is an oracle the
+//     experiments and acs tests configure (rbc.Options.CodedThreshold).
 //
 //   - An agreement core with three stackable optimizations (internal/acs,
-//     internal/ba, internal/core), all off by default and none load-bearing
-//     for safety. The unanimous-slot fast path (core.Config.FastPath)
+//     internal/ba, internal/core), none load-bearing for safety. Every
+//     ledger the public API or cmd/node starts runs all three; the slower
+//     modes are core.Config values the experiments (E12, E16) and the
+//     differential tests hand to acs.Run* as oracles, not deployment
+//     switches. The unanimous-slot fast path (core.Config.FastPath)
 //     commits a slot whose n A-Casts all delivered with one FAST(digest)
 //     confirmation round and zero BA instances, falling back to full
 //     CommonSubset agreement on any SLOW vote, digest mismatch or timeout
@@ -60,8 +70,9 @@
 //     instances decide deterministically without invoking a coin
 //     protocol, and
 //     core.Config.SharedCoin amortizes one weak-coin flip per (slot,
-//     round) across all n BA instances. Per-run instrumentation lands in
-//     core.AgreementStats (fast-path hit rate, BA rounds per decision)
+//     round) across all n BA instances. Instrumentation is the obs
+//     series on core.Config.Metrics (acs_fastpath_hits_total,
+//     acs_fastpath_fallbacks_total, ba_decisions_total, ba_rounds_total)
 //     and an optional trace.Recorder.
 //
 //   - General asynchronous MPC (Compute, internal/mpc): an
@@ -91,8 +102,9 @@
 //     full bytes below the coded threshold, per-server Reed–Solomon
 //     fragments above it. A catching-up replica trusts only a head
 //     reported identically by t+1 parties, verifies every chunk against
-//     its digest and re-chains it onto its own prefix, then rejoins the
-//     live slots via acs.RunFrom without replaying any A-Cast. A
+//     its digest and re-chains it onto its own prefix — concurrently
+//     with the live slots its engine runs from its start cursor on,
+//     without replaying any A-Cast. A
 //     Byzantine snapshot server (LyingSnapshotServer,
 //     WrongBytesSnapshotServer) can cause at most a rejected response and
 //     a retry against another peer. Experiment E14 measures catch-up
@@ -134,9 +146,9 @@
 //
 //   - Sharded scale-out & a serving plane (AtomicBroadcastSpec.Shards,
 //     Cluster.Submit, internal/shard): S independent store-backed ledger
-//     shards — each its own acs.RunFrom slot pipeline with the fast path
-//     enabled — run over one shared transport and party set, multiplexed
-//     by session namespacing. Client operations are routed to a shard by
+//     shards — each its own acs.RunFrom slot pipeline, snapshot server
+//     and (for a resumed party) catch-up — run over one shared transport
+//     and party set, multiplexed by session namespacing. Client operations are routed to a shard by
 //     a deterministic FNV-1a hash of their stream id (sequential
 //     consistency per shard and per stream; no ordering across shards —
 //     that independence is what multiplies throughput, measured ~4.7×
@@ -148,8 +160,8 @@
 //     with the op's committed (shard, slot, index) position — derived
 //     from committed bytes only, hence identical at every party; op
 //     batches decode under package-constant caps so Byzantine junk
-//     vanishes identically everywhere. cmd/node -shards with -serve
-//     opens an HTTP front door (POST /submit long-polls for the
+//     vanishes identically everywhere. cmd/node -serve (with any
+//     -shards and -resume) opens an HTTP front door (POST /submit long-polls for the
 //     position ack, 429 on overload; GET /log streams the committed
 //     ops).
 //

@@ -14,10 +14,11 @@
 // append identical slot outputs — a replicated log, with no timing
 // assumptions and optimal resilience n ≥ 3t+1.
 //
-// Multiple slots pipeline over the internal/batch session-namespacing
-// engine: slot k+1's broadcast phase overlaps slot k's agreement phase, so
-// K slots pay the slot latency chain roughly once instead of K times
-// (experiment E11 quantifies the gain under latency-bound schedules).
+// Multiple slots pipeline by session namespacing (RunFrom admits them in
+// slot order, width-bounded): slot k+1's broadcast phase overlaps slot k's
+// agreement phase, so K slots pay the slot latency chain roughly once
+// instead of K times (experiment E11 quantifies the gain under
+// latency-bound schedules).
 //
 // Slot broadcasts run through rbc.RunCoded: batches at or above the
 // configured coded threshold (core.Config.RBC) are dispersed as
@@ -36,7 +37,6 @@ import (
 	"time"
 
 	"asyncft/internal/ba"
-	"asyncft/internal/batch"
 	"asyncft/internal/commonsubset"
 	"asyncft/internal/core"
 	"asyncft/internal/rbc"
@@ -219,7 +219,7 @@ func runSlotAgree(ctx, helperCtx context.Context, env *runtime.Env, session stri
 	defer endAgree()
 	var baDecided, baRounds int
 	csOpts := cfg.CSOptions()
-	if cfg.Stats != nil || cfg.Trace != nil {
+	if cfg.Trace != nil {
 		// Written on the CommonSubset goroutine, read here only after its
 		// result lands on csc (happens-before via the channel).
 		csOpts.Observer = func(j int, bst ba.Stats) {
@@ -272,11 +272,6 @@ func runSlotAgree(ctx, helperCtx context.Context, env *runtime.Env, session stri
 		}
 	}
 
-	if cfg.Stats != nil {
-		cfg.Stats.Slots.Add(1)
-		cfg.Stats.BADecisions.Add(int64(baDecided))
-		cfg.Stats.BARounds.Add(int64(baRounds))
-	}
 	if cfg.Trace != nil {
 		cfg.Trace.Recordf(env.ID, session, "acs",
 			"slot %d full agreement: %d contributors, %d ba instances, %d rounds", slot, len(set), baDecided, baRounds)
@@ -285,11 +280,11 @@ func runSlotAgree(ctx, helperCtx context.Context, env *runtime.Env, session stri
 }
 
 // Run executes slots 0..slots−1 of one atomic-broadcast session at this
-// party, pipelined over internal/batch with at most width slots in flight
-// (0 = all slots concurrently), and returns this party's ledger: slot
-// outputs concatenated in slot order and deduplicated across slots by
-// payload bytes (see BuildLedger). input(k) yields this party's batch for
-// slot k; a nil input contributes nothing anywhere.
+// party, pipelined with at most width slots in flight (0 = all slots
+// concurrently), and returns this party's ledger: slot outputs
+// concatenated in slot order and deduplicated across slots by payload
+// bytes (see BuildLedger). input(k) yields this party's batch for slot k;
+// a nil input contributes nothing anywhere.
 //
 // All nonfaulty parties must call Run with the same session, slots and
 // width; the returned ledger is byte-identical at every one of them.
@@ -310,9 +305,18 @@ func Run(ctx, helperCtx context.Context, env *runtime.Env, session string, slots
 // is a full run. Slot sessions depend only on the slot index, so resumed
 // and fresh parties interoperate on the wire by construction.
 //
+// Slots are admitted in slot order, at most width at a time, and every
+// party admits in the same order — two parties' in-flight windows always
+// overlap on the oldest unfinished slot, so no width can deadlock. Slot
+// k's session, forked environment and batch come into being when k is
+// admitted, not before: a long run costs memory for its window, not for
+// its length, and input sources that accumulate between slots (a serving
+// queue, a paced proposer) see everything that arrived so far.
+//
 // The caller owns store and reads the final ledger from store.Ledger()
 // once every slot below `slots` is committed (RunFrom itself only
-// guarantees slots [from, slots)).
+// guarantees slots [from, slots)). On failure RunFrom returns the error
+// of the lowest failed slot, after every admitted slot has returned.
 func RunFrom(ctx, helperCtx context.Context, env *runtime.Env, session string, from, slots, width int, input func(slot int) []byte, cfg core.Config, store *Store) error {
 	if slots < 1 || from < 0 || from >= slots {
 		return fmt.Errorf("acs %s: slot range [%d, %d) out of range", session, from, slots)
@@ -320,34 +324,52 @@ func RunFrom(ctx, helperCtx context.Context, env *runtime.Env, session string, f
 	if store == nil {
 		return fmt.Errorf("acs %s: nil store", session)
 	}
-	instances := make([]batch.Instance, slots-from)
-	for i := range instances {
-		k := from + i
-		sess := runtime.SubSession(session, "slot", k)
-		instances[i] = batch.Instance{Session: sess, Run: func(ctx context.Context, env *runtime.Env) (interface{}, error) {
-			// input runs at admission time, not construction time: with a
-			// width-bounded pipeline, slot k's batch is drawn when slot k
-			// actually starts, so sources that accumulate between slots (a
-			// serving queue, a paced proposer) see everything admitted so far.
+	if width <= 0 || width > slots-from {
+		width = slots - from
+	}
+	var (
+		mu      sync.Mutex
+		errSlot = -1
+		slotErr error
+	)
+	fail := func(k int, err error) {
+		mu.Lock()
+		if errSlot < 0 || k < errSlot {
+			errSlot, slotErr = k, err
+		}
+		mu.Unlock()
+	}
+	sem := make(chan struct{}, width)
+	var wg sync.WaitGroup
+admit:
+	for k := from; k < slots; k++ {
+		select {
+		case sem <- struct{}{}:
+		case <-ctx.Done():
+			fail(k, ctx.Err())
+			break admit
+		}
+		k := k
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			sess := runtime.SubSession(session, "slot", k)
 			var payload []byte
 			if input != nil {
 				payload = input(k)
 			}
-			entries, err := RunSlot(ctx, helperCtx, env, sess, k, payload, cfg)
-			if err == nil {
-				store.SetSlot(k, entries)
+			entries, err := RunSlot(ctx, helperCtx, env.Fork(sess), sess, k, payload, cfg)
+			if err != nil {
+				fail(k, err)
+				return
 			}
-			return entries, err
-		}}
+			store.SetSlot(k, entries)
+		}()
 	}
-	res, err := batch.Run(ctx, map[int]*runtime.Env{env.ID: env}, instances, batch.Options{Width: width})
-	if err != nil {
-		return err
-	}
-	for i, m := range res {
-		if r := m[env.ID]; r.Err != nil {
-			return fmt.Errorf("acs %s: slot %d: %w", session, from+i, r.Err)
-		}
+	wg.Wait()
+	if slotErr != nil {
+		return fmt.Errorf("acs %s: slot %d: %w", session, errSlot, slotErr)
 	}
 	return nil
 }

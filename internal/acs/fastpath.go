@@ -160,10 +160,6 @@ func runSlotFast(ctx, helperCtx context.Context, env *runtime.Env, session strin
 			entries := commitEntries(slot, allParties(n), st.got)
 			st.m.fastHits.Inc()
 			endConfirm()
-			if cfg.Stats != nil {
-				cfg.Stats.Slots.Add(1)
-				cfg.Stats.FastCommits.Add(1)
-			}
 			if cfg.Trace != nil {
 				cfg.Trace.Recordf(env.ID, session, "acs",
 					"slot %d fast-path commit: %d entries, 0 ba instances", slot, len(entries))
@@ -236,9 +232,6 @@ func runSlotFast(ctx, helperCtx context.Context, env *runtime.Env, session strin
 	resolve()
 	st.m.fallbacks.Inc()
 	endConfirm()
-	if cfg.Stats != nil {
-		cfg.Stats.Fallbacks.Add(1)
-	}
 	if cfg.Trace != nil {
 		cfg.Trace.Recordf(env.ID, session, "acs", "slot %d fast-path fallback: %s", slot, fallback)
 	}

@@ -12,6 +12,7 @@ import (
 	"asyncft/internal/ba"
 	"asyncft/internal/commonsubset"
 	"asyncft/internal/core"
+	"asyncft/internal/obs"
 	"asyncft/internal/runtime"
 	"asyncft/internal/testkit"
 	"asyncft/internal/wire"
@@ -20,6 +21,16 @@ import (
 // fastCfg returns the local-coin test configuration with the unanimous-slot
 // fast path armed. wait tunes the fallback timer: generous when the test
 // expects fast commits, short when it expects forced fallbacks.
+// partyRegistries returns one metrics registry per party: the agreement
+// series (acs_fastpath_*, ba_*) the tests below assert on are per party.
+func partyRegistries(n int) []*obs.Registry {
+	regs := make([]*obs.Registry, n)
+	for i := range regs {
+		regs[i] = obs.NewRegistry()
+	}
+	return regs
+}
+
 func fastCfg(wait time.Duration) core.Config {
 	cfg := localCfg
 	cfg.FastPath = true
@@ -40,10 +51,10 @@ func TestFastPathUnanimousSlots(t *testing.T) {
 			tf := (n - 1) / 3
 			c := testkit.New(n, tf, testkit.WithSeed(int64(n)), testkit.WithTimeout(90*time.Second))
 			defer c.Close()
-			stats := make([]core.AgreementStats, n)
+			regs := partyRegistries(n)
 			res := c.Run(c.Honest(), func(ctx context.Context, env *runtime.Env) (interface{}, error) {
 				cfg := fastCfg(5 * time.Second)
-				cfg.Stats = &stats[env.ID]
+				cfg.Metrics = regs[env.ID]
 				return Run(ctx, c.Ctx, env, "abc/fastu", slots, 1, func(slot int) []byte {
 					return payloadFor(env.ID, slot)
 				}, cfg)
@@ -52,12 +63,12 @@ func TestFastPathUnanimousSlots(t *testing.T) {
 			if len(ledger) != slots*n {
 				t.Fatalf("ledger has %d entries, want the full %d (all n contributors, every slot)", len(ledger), slots*n)
 			}
-			for id := range stats {
-				if got := stats[id].FastCommits.Load(); got != slots {
-					t.Errorf("party %d: %d fast commits, want %d (stats: %s)", id, got, slots, stats[id].String())
+			for id, reg := range regs {
+				if got := reg.Total("acs_fastpath_hits_total"); got != slots {
+					t.Errorf("party %d: %v fast commits, want %d", id, got, slots)
 				}
-				if got := stats[id].BADecisions.Load(); got != 0 {
-					t.Errorf("party %d: %d BA instances ran on the fast path", id, got)
+				if got := reg.Total("ba_decisions_total"); got != 0 {
+					t.Errorf("party %d: %v BA instances ran on the fast path", id, got)
 				}
 			}
 		})
@@ -137,13 +148,13 @@ func TestFastPathScenarios(t *testing.T) {
 				c := testkit.New(n, tf, testkit.WithSeed(tc.seed+int64(n)), testkit.WithTimeout(120*time.Second))
 				defer c.Close()
 				c.Start(testkit.Scenario{Name: tc.name, Steps: tc.steps(c, n, victim, sess)})
-				stats := make([]core.AgreementStats, n)
+				regs := partyRegistries(n)
 				// Slots run sequentially (not via Run) so Progress reflects the
 				// slot a party actually reached — Run builds every slot's input
 				// upfront, which would fire all scenario steps at start.
 				body := func(ctx context.Context, env *runtime.Env) (interface{}, error) {
 					cfg := fastCfg(100 * time.Millisecond)
-					cfg.Stats = &stats[env.ID]
+					cfg.Metrics = regs[env.ID]
 					var out [][]Entry
 					for k := 0; k < slots; k++ {
 						c.Progress(k)
@@ -177,8 +188,8 @@ func TestFastPathScenarios(t *testing.T) {
 				}
 				if tc.mustFallback {
 					for _, id := range waited {
-						if stats[id].Fallbacks.Load() == 0 {
-							t.Errorf("party %d never fell back under %s (stats: %s)", id, tc.name, stats[id].String())
+						if regs[id].Total("acs_fastpath_fallbacks_total") == 0 {
+							t.Errorf("party %d never fell back under %s", id, tc.name)
 						}
 					}
 				}
@@ -202,13 +213,13 @@ func TestFastPathFullStack(t *testing.T) {
 	c.Start(testkit.Scenario{Name: "fullstack", Steps: []testkit.Step{
 		{Name: "hold", At: 0, Do: func(c *testkit.Cluster) { c.HoldSession(3, -1, prefix) }},
 	}})
-	stats := make([]core.AgreementStats, n)
+	regs := partyRegistries(n)
 	res := c.Run(c.Honest(), func(ctx context.Context, env *runtime.Env) (interface{}, error) {
 		cfg := core.Config{K: 1, Eps: 0.1, InnerCoin: core.InnerCoinWeak, SharedCoin: true}
 		cfg.BA.UseBCA = true
 		cfg.FastPath = true
 		cfg.FastPathWait = 100 * time.Millisecond
-		cfg.Stats = &stats[env.ID]
+		cfg.Metrics = regs[env.ID]
 		c.Progress(0)
 		return RunSlot(ctx, c.Ctx, env, runtime.SubSession(sess, "slot", 0), 0, payloadFor(env.ID, 0), cfg)
 	})
@@ -216,9 +227,9 @@ func TestFastPathFullStack(t *testing.T) {
 	if len(entries) < n-tf-1 {
 		t.Fatalf("slot committed %d entries, want ≥ %d", len(entries), n-tf-1)
 	}
-	for id := range stats {
-		if stats[id].Fallbacks.Load() != 1 {
-			t.Errorf("party %d: expected exactly one fallback, stats: %s", id, stats[id].String())
+	for id, reg := range regs {
+		if got := reg.Total("acs_fastpath_fallbacks_total"); got != 1 {
+			t.Errorf("party %d: %v fallbacks, want exactly one", id, got)
 		}
 	}
 }
@@ -253,11 +264,11 @@ func TestFastPathConfirmFlood(t *testing.T) {
 		}
 	}
 	flood(8 * n) // pre-fill every pump buffer before the slots start
-	stats := make([]core.AgreementStats, n)
+	regs := partyRegistries(n)
 	honest := []int{0, 1, 2}
 	res := c.Run(honest, func(ctx context.Context, env *runtime.Env) (interface{}, error) {
 		cfg := fastCfg(5 * time.Second)
-		cfg.Stats = &stats[env.ID]
+		cfg.Metrics = regs[env.ID]
 		var out [][]Entry
 		for k := 0; k < slots; k++ {
 			entries, err := RunSlot(ctx, c.Ctx, env, runtime.SubSession(sess, "slot", k), k, payloadFor(env.ID, k), cfg)
@@ -275,9 +286,9 @@ func TestFastPathConfirmFlood(t *testing.T) {
 	}
 	flood(8 * n) // post-resolution: only the drop path can absorb this
 	for _, id := range honest {
-		if stats[id].Fallbacks.Load() != slots {
-			t.Errorf("party %d: %d fallbacks, want %d (the flood's SLOWs must route every slot through full agreement; stats: %s)",
-				id, stats[id].Fallbacks.Load(), slots, stats[id].String())
+		if got := regs[id].Total("acs_fastpath_fallbacks_total"); got != slots {
+			t.Errorf("party %d: %v fallbacks, want %d (the flood's SLOWs must route every slot through full agreement)",
+				id, got, slots)
 		}
 	}
 }

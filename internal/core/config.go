@@ -83,9 +83,6 @@ type Config struct {
 	// It trades fallback latency against fast-path hit rate; safety is
 	// unaffected.
 	FastPathWait time.Duration
-	// Stats, when non-nil, aggregates agreement-core instrumentation
-	// (fast-path hit rate, BA rounds per decision) across slots.
-	Stats *AgreementStats
 	// Trace, when non-nil, receives per-slot agreement milestones
 	// ("fast-path commit", "fallback", rounds per decision) and the
 	// slot-lifecycle spans the Chrome-trace exporter renders.

@@ -17,8 +17,8 @@ import (
 // slot count K and per-party batch size B. Each configuration runs twice:
 // slot-at-a-time (pipeline width 1 — every slot pays its full A-Cast +
 // CommonSubset latency chain before the next begins) and pipelined (width
-// 0 — slot k+1's broadcast phase overlaps slot k's agreement phase over
-// the internal/batch engine). The headline is the worst pipelined speedup
+// 0 — slot k+1's broadcast phase overlaps slot k's agreement phase). The
+// headline is the worst pipelined speedup
 // at the largest K; every run also re-verifies the replication property
 // (all parties' ledgers byte-identical) because a throughput number from a
 // forked ledger would be meaningless.

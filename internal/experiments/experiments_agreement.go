@@ -8,6 +8,7 @@ import (
 	"asyncft/internal/acs"
 	"asyncft/internal/core"
 	"asyncft/internal/network"
+	"asyncft/internal/obs"
 	"asyncft/internal/runtime"
 	"asyncft/internal/testkit"
 )
@@ -53,18 +54,18 @@ func E16AgreementCore(scale Scale) (*Table, error) {
 		{"fast+bca", true, true},
 	}
 
-	runLedger := func(n int, m mode, seed int64) (time.Duration, *core.AgreementStats, error) {
+	runLedger := func(n int, m mode, seed int64) (time.Duration, *obs.Registry, error) {
 		tf := (n - 1) / 3
 		c := testkit.New(n, tf, testkit.WithSeed(seed),
 			testkit.WithPolicy(network.NewDelay(seed, 200*time.Microsecond, time.Millisecond)),
 			testkit.WithTimeout(600*time.Second))
 		defer c.Close()
-		st := &core.AgreementStats{} // atomic: shared across parties as a run aggregate
+		reg := obs.NewRegistry() // shared across parties: the series are run aggregates
 		cfg := core.Config{K: 1, Eps: 0.1, InnerCoin: core.InnerCoinLocal}
 		cfg.BA.MaxRounds = 512 // local-coin splits at larger n need room, not a failsafe trip
 		cfg.BA.UseBCA = m.bca
 		cfg.FastPath = m.fastPath
-		cfg.Stats = st
+		cfg.Metrics = reg
 		sess := runtime.SubSession("e16", n, m.name)
 		input := func(id int) func(int) []byte {
 			return func(slot int) []byte { return []byte(fmt.Sprintf("p%d/s%d", id, slot)) }
@@ -84,7 +85,17 @@ func E16AgreementCore(scale Scale) (*Table, error) {
 		if _, err := acs.AgreeLedgers(ledgers); err != nil {
 			return 0, nil, err
 		}
-		return wall, st, nil
+		return wall, reg, nil
+	}
+
+	// per is num/den, 0 when nothing was counted (a pure fast-path run
+	// decides no BA instance at all).
+	per := func(reg *obs.Registry, num, den string) float64 {
+		d := reg.Total(den)
+		if d == 0 {
+			return 0
+		}
+		return reg.Total(num) / d
 	}
 
 	topN := ns[len(ns)-1]
@@ -94,14 +105,15 @@ func E16AgreementCore(scale Scale) (*Table, error) {
 		seed++
 		rate := make(map[string]float64, len(modes))
 		for _, m := range modes {
-			wall, st, err := runLedger(n, m, seed)
+			wall, reg, err := runLedger(n, m, seed)
 			if err != nil {
 				return nil, fmt.Errorf("E16 n=%d %s: %w", n, m.name, err)
 			}
 			rate[m.name] = float64(slots) / wall.Seconds()
 			t.Rows = append(t.Rows, []string{
 				itoa(n), m.name, ms(wall), f2(rate[m.name]),
-				fmt.Sprintf("%.0f%%", st.FastPathRate()*100), f2(st.RoundsPerDecision()),
+				fmt.Sprintf("%.0f%%", 100*per(reg, "acs_fastpath_hits_total", "acs_slots_committed_total")),
+				f2(per(reg, "ba_rounds_total", "ba_decisions_total")),
 			})
 		}
 		if n == topN {

@@ -405,6 +405,18 @@ func (r *Registry) Snapshot(name string) (map[string]float64, bool) {
 	return out, true
 }
 
+// Total returns the named family's Snapshot summed over its label values —
+// a run-wide count such as BA rounds across both engines — or 0 if the
+// family does not exist.
+func (r *Registry) Total(name string) float64 {
+	vals, _ := r.Snapshot(name)
+	sum := 0.0
+	for _, v := range vals {
+		sum += v
+	}
+	return sum
+}
+
 // sortedFamilies returns the families in name order (exposition
 // determinism).
 func (r *Registry) sortedFamilies() []*family {

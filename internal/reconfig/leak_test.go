@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"asyncft/internal/core"
+	"asyncft/internal/obs"
 	rt "asyncft/internal/runtime"
 	"asyncft/internal/testkit"
 )
@@ -118,11 +118,11 @@ func TestFastPathEpochBoundaryDrain(t *testing.T) {
 	func() {
 		c := testkit.New(5, 1, testkit.WithSeed(47), testkit.WithTimeout(240*time.Second))
 		defer c.Close()
-		stats := &core.AgreementStats{}
+		reg := obs.NewRegistry() // shared across parties: the series are run-wide aggregates
 		cfg := testCfg()
 		cfg.FastPath = true
 		cfg.FastPathWait = 2 * time.Second
-		cfg.Stats = stats // atomic; shared across parties as a run-wide aggregate
+		cfg.Metrics = reg
 		res := runDynamic(t, c, []int{0, 1, 2, 3, 4}, Options{
 			Session:  "rc/fpleak",
 			Genesis:  []int{0, 1, 2, 3, 4},
@@ -134,8 +134,8 @@ func TestFastPathEpochBoundaryDrain(t *testing.T) {
 		if res[2].RemovedAt < 0 {
 			t.Fatal("party 2 never removed")
 		}
-		if stats.FastCommits.Load() == 0 {
-			t.Fatalf("fast path never taken in an all-honest run (stats: %s)", stats.String())
+		if reg.Total("acs_fastpath_hits_total") == 0 {
+			t.Fatal("fast path never taken in an all-honest run")
 		}
 	}()
 

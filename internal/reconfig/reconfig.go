@@ -161,9 +161,6 @@ type Options struct {
 	// secrets survived every re-deal. Verification mode only: opening
 	// destroys secrecy.
 	CheckPool bool
-	// Store, when non-nil, is the slot store to run against (the cluster
-	// layer pre-registers it for SyncFrom); nil creates a fresh one.
-	Store *acs.Store
 }
 
 func (o Options) withDefaults() Options {
@@ -283,10 +280,7 @@ func Run(ctx, helperCtx context.Context, env *runtime.Env, opts Options) (*Resul
 	if err := o.validate(env); err != nil {
 		return nil, err
 	}
-	store := o.Store
-	if store == nil {
-		store = acs.NewStore()
-	}
+	store := acs.NewStore()
 	go statesync.Serve(helperCtx, env, o.Session, store, o.Sync)
 
 	r := &runner{

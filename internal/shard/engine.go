@@ -12,6 +12,7 @@ import (
 	"asyncft/internal/core"
 	"asyncft/internal/obs"
 	"asyncft/internal/runtime"
+	"asyncft/internal/statesync"
 )
 
 // ErrOverloaded is the backpressure signal: the target shard's admission
@@ -28,10 +29,10 @@ var ErrFinished = errors.New("shard: run finished")
 // an at-least-once client may resubmit against a new run.
 var ErrUncommitted = errors.New("shard: run ended before op committed")
 
-// Options configure an Engine. Shards, Slots, Width, Session and the
-// Core protocol configuration must be identical at every party of the
-// run (exactly like a plain atomic-broadcast session); the serving knobs
-// (QueueCap, MaxOps, DrainWait) are party-local.
+// Options configure an Engine. Shards, Slots, Width, Session, the Core
+// protocol configuration and whether Input is set must be identical at
+// every party of the run; From, Sync and the serving knobs (QueueCap,
+// MaxOps, DrainWait) are party-local.
 type Options struct {
 	// Session roots the run; shard s runs under SubSession(Session, "s", s).
 	Session string
@@ -39,6 +40,18 @@ type Options struct {
 	Shards int
 	// Slots is the number of slots each shard runs.
 	Slots int
+	// From is this party's start cursor, in [0, Slots): a restarted
+	// replica runs slots [From, Slots) live while, per shard, state
+	// transfer from its peers installs the prefix [0, From) it missed —
+	// concurrently, and both must finish before Run returns. 0 is a
+	// replica that was there from the start.
+	From int
+	// Input, when non-nil, supplies this party's batch for slot k of every
+	// shard in place of the admission queue (which then admits nothing):
+	// the ledger carries the returned bytes verbatim. Nil batches
+	// contribute nothing. It is called at slot admission, concurrently for
+	// the slots and shards in flight.
+	Input func(slot int) []byte
 	// Width bounds each shard's slot pipeline (0 = all slots at once).
 	// Serving deployments want a small bound (e.g. 2): slots admitted
 	// later drain ops submitted later, which is what keeps acks flowing.
@@ -60,9 +73,12 @@ type Options struct {
 	// goroutine; keep it fast.
 	OnSlotCommit func(shard, slot int, ops []Op)
 	// Core is the protocol configuration. FastPath (and with it the BCA
-	// agreement engine) is forced on: sharding exists for throughput, and
-	// the unanimous-slot fast path is where that throughput comes from.
+	// agreement engine and guided coins) is forced on: it is the fastest
+	// sound slot path, and the one every ledger run takes.
 	Core core.Config
+	// Sync tunes state transfer: the snapshot server every shard runs out
+	// of its store, and the catch-up of a party with From > 0.
+	Sync statesync.Options
 }
 
 func (o Options) withDefaults() Options {
@@ -112,6 +128,8 @@ type shardState struct {
 	inflight map[[2]int]*pending
 	scanned  int // slots [0, scanned) have been flattened and acked
 
+	closed bool // the run's final sweep passed; nothing is admitted after it
+
 	arrival chan struct{} // capacity 1; poked on enqueue
 
 	committed *obs.Counter // shard_slots_committed{shard}
@@ -146,6 +164,9 @@ func New(env *runtime.Env, o Options) (*Engine, error) {
 	}
 	if o.Slots < 1 {
 		return nil, fmt.Errorf("shard: need Slots ≥ 1, got %d", o.Slots)
+	}
+	if o.From < 0 || o.From >= o.Slots {
+		return nil, fmt.Errorf("shard: need 0 ≤ From < Slots, got %d", o.From)
 	}
 	if o.Session == "" {
 		return nil, fmt.Errorf("shard: empty session")
@@ -196,15 +217,18 @@ func (e *Engine) Store(s int) *acs.Store { return e.shards[s].store }
 // Ledger returns shard s's deduplicated committed ledger.
 func (e *Engine) Ledger(s int) []acs.Entry { return e.shards[s].store.Ledger() }
 
-// Run executes all shards to completion: S concurrent acs.RunFrom
-// pipelines plus one commit watcher per shard that acks submissions as
-// their slots commit. It returns when every shard committed all its
-// slots (nil) or any shard failed (the first error; the rest are
+// Run executes all shards to completion: per shard, a snapshot server
+// over the shard's store, the acs.RunFrom pipeline of slots [From, Slots),
+// the state transfer of [0, From), and a commit watcher that acks
+// submissions as their slots commit. It returns when every shard holds
+// all its slots (nil) or any shard failed (the first error; the rest are
 // cancelled). Pending submissions that no slot committed resolve with
 // ErrUncommitted.
 //
 // ctx bounds the run; helperCtx (the cluster-lifetime context) keeps
-// broadcast and coin helpers alive for slower peers, as everywhere else.
+// broadcast and coin helpers alive for slower peers, as everywhere else —
+// and the snapshot servers with them, so lagging and resumed peers keep
+// pulling verified chunks after this party's run returned.
 func (e *Engine) Run(ctx, helperCtx context.Context) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -212,6 +236,7 @@ func (e *Engine) Run(ctx, helperCtx context.Context) error {
 	var watchers sync.WaitGroup
 	for _, sh := range e.shards {
 		sh := sh
+		go statesync.Serve(helperCtx, e.env, sh.sess, sh.store, e.o.Sync)
 		watchers.Add(1)
 		go func() {
 			defer watchers.Done()
@@ -223,8 +248,7 @@ func (e *Engine) Run(ctx, helperCtx context.Context) error {
 	for _, sh := range e.shards {
 		sh := sh
 		go func() {
-			input := func(k int) []byte { return e.takeBatch(runCtx, sh, k) }
-			err := acs.RunFrom(runCtx, helperCtx, e.env, sh.sess, 0, e.o.Slots, e.o.Width, input, e.o.Core, sh.store)
+			err := e.runShard(runCtx, helperCtx, sh)
 			if err != nil {
 				err = fmt.Errorf("shard %d: %w", sh.idx, err)
 			}
@@ -257,6 +281,26 @@ func (e *Engine) Run(ctx, helperCtx context.Context) error {
 	return firstErr
 }
 
+// runShard drives one shard's store to Slots: the live slots from the
+// start cursor on, and state transfer of the prefix below it (a no-op at
+// cursor 0). A transfer still running when the live slots fail is
+// abandoned to ctx, which Run cancels.
+func (e *Engine) runShard(ctx, helperCtx context.Context, sh *shardState) error {
+	syncErr := make(chan error, 1)
+	go func() { syncErr <- statesync.Sync(ctx, e.env, sh.sess, sh.store, e.o.From, e.o.Sync) }()
+	input := e.o.Input
+	if input == nil {
+		input = func(k int) []byte { return e.takeBatch(ctx, sh, k) }
+	}
+	if err := acs.RunFrom(ctx, helperCtx, e.env, sh.sess, e.o.From, e.o.Slots, e.o.Width, input, e.o.Core, sh.store); err != nil {
+		return err
+	}
+	if err := <-syncErr; err != nil {
+		return fmt.Errorf("state transfer: %w", err)
+	}
+	return nil
+}
+
 // Submit routes one client op to its shard, applies admission control,
 // and blocks until the op's slot commits (returning its position) or ctx
 // is done. The stream id picks the shard via Route; callers needing the
@@ -277,7 +321,10 @@ func (e *Engine) Submit(ctx context.Context, stream, payload []byte) (Pos, error
 // SubmitAsync is the non-blocking form of Submit: it admits the op (or
 // rejects it synchronously — ErrOverloaded on a full queue is the
 // backpressure path) and returns the channel its SubmitResult will
-// arrive on. Exactly one result is ever delivered per admitted op.
+// arrive on. Exactly one result is ever delivered per admitted op: whether
+// an op racing the end of the run was admitted (and then resolves, with
+// ErrUncommitted at worst) or hit ErrFinished is decided under the same
+// lock the run's final sweep closes the shard under.
 func (e *Engine) SubmitAsync(stream, payload []byte) (<-chan SubmitResult, error) {
 	if len(stream) == 0 || len(stream) > MaxStreamBytes {
 		return nil, fmt.Errorf("shard: stream id must be 1..%d bytes, got %d", MaxStreamBytes, len(stream))
@@ -285,10 +332,8 @@ func (e *Engine) SubmitAsync(stream, payload []byte) (<-chan SubmitResult, error
 	if len(payload) > MaxOpPayloadBytes {
 		return nil, fmt.Errorf("shard: payload %d bytes exceeds cap %d", len(payload), MaxOpPayloadBytes)
 	}
-	select {
-	case <-e.finished:
-		return nil, ErrFinished
-	default:
+	if e.o.Input != nil {
+		return nil, fmt.Errorf("shard: run is fed by Options.Input, not the admission queue")
 	}
 	sh := e.shards[Route(stream, len(e.shards))]
 	e.mu.Lock()
@@ -307,6 +352,10 @@ func (e *Engine) SubmitAsync(stream, payload []byte) (<-chan SubmitResult, error
 		done:     make(chan SubmitResult, 1),
 	}
 	sh.mu.Lock()
+	if sh.closed {
+		sh.mu.Unlock()
+		return nil, ErrFinished
+	}
 	if len(sh.queue)+len(sh.inflight) >= e.o.QueueCap {
 		sh.mu.Unlock()
 		e.rejected.Inc()
@@ -408,8 +457,11 @@ func (e *Engine) drainCommitted(sh *shardState) {
 		if k >= sh.store.Next() {
 			return
 		}
-		entries, _ := sh.store.Slot(k)
-		ops := SlotOps(entries)
+		var ops []Op
+		if e.o.Input == nil { // Input batches are opaque bytes, not op batches
+			entries, _ := sh.store.Slot(k)
+			ops = SlotOps(entries)
+		}
 
 		sh.mu.Lock()
 		if sh.scanned != k { // lost a race with a concurrent drain
@@ -466,9 +518,11 @@ func (e *Engine) drainCommitted(sh *shardState) {
 	}
 }
 
-// failPending resolves every still-unacked submission of sh with err.
+// failPending closes sh to admission and resolves every still-unacked
+// submission with err.
 func (e *Engine) failPending(sh *shardState, err error) {
 	sh.mu.Lock()
+	sh.closed = true
 	left := append([]*pending(nil), sh.queue...)
 	for _, p := range sh.inflight {
 		left = append(left, p)

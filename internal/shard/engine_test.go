@@ -11,6 +11,7 @@ import (
 
 	"asyncft/internal/core"
 	"asyncft/internal/obs"
+	rt "asyncft/internal/runtime"
 	"asyncft/internal/testkit"
 )
 
@@ -279,5 +280,62 @@ func TestEngineTerminalStates(t *testing.T) {
 	}
 	if _, err := engines[0].Submit(context.Background(), []byte("x"), []byte("y")); !errors.Is(err, ErrFinished) {
 		t.Fatalf("post-run submit error = %v, want ErrFinished", err)
+	}
+}
+
+// TestSubmitRacesRunEnd hammers admission against the end of short runs:
+// whatever SubmitAsync admitted — right up to the moment the run's final
+// sweep closes the shard — must resolve, and once it answers ErrFinished
+// nothing more is admitted. An op appended to the queue after the sweep
+// emptied it would never resolve.
+func TestSubmitRacesRunEnd(t *testing.T) {
+	const n, tf, runs, submitters = 4, 1, 30, 8
+	c := testkit.New(n, tf, testkit.WithSeed(17), testkit.WithTimeout(120*time.Second))
+	defer c.Close()
+	parties := []int{0, 1, 2, 3}
+	for r := 0; r < runs; r++ {
+		engines, wait := startEngines(t, c, parties, Options{
+			Session: rt.SubSession("shard/race", r), Shards: 1, Slots: 2, Width: 1,
+			DrainWait: time.Millisecond, Core: localCfg,
+		})
+		admitted := make([][]<-chan SubmitResult, submitters)
+		var wg sync.WaitGroup
+		for g := 0; g < submitters; g++ {
+			g := g
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					ch, err := engines[0].SubmitAsync([]byte("racer"), []byte("op"))
+					switch {
+					case err == nil:
+						admitted[g] = append(admitted[g], ch)
+					case errors.Is(err, ErrFinished):
+						return
+					case errors.Is(err, ErrOverloaded):
+						time.Sleep(50 * time.Microsecond)
+					default:
+						t.Errorf("run %d: submit: %v", r, err)
+						return
+					}
+				}
+			}()
+		}
+		for id, err := range wait() {
+			if err != nil {
+				t.Fatalf("run %d party %d: %v", r, id, err)
+			}
+		}
+		wg.Wait()
+		deadline := time.After(time.Second)
+		for g := range admitted {
+			for _, ch := range admitted[g] {
+				select {
+				case <-ch:
+				case <-deadline:
+					t.Fatalf("run %d: an admitted op never resolved", r)
+				}
+			}
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"asyncft/internal/adversary"
+	"asyncft/internal/statesync"
 	"asyncft/internal/testkit"
 	"asyncft/internal/trace"
 )
@@ -218,4 +219,151 @@ func TestShardScenarios(t *testing.T) {
 			t.Logf("%s: %d/%d ops acked and verified at their positions", tc.name, acked, len(subs))
 		})
 	}
+}
+
+// TestShardScenarioResumeUnderLoad composes what the drivers used to keep
+// apart: S=2 shards, a serving queue under sustained client load, and a
+// replica that loses everything mid-run and comes back as a resumed one.
+// Party 3 crashes at slot crashAt and restarts fresh with From=rejoin:
+// per shard it runs the live slots from rejoin on and pulls the prefix it
+// missed from its peers — while clients keep submitting at parties 0..2
+// and a forged snapshot server, riding party 2's endpoints next to the
+// real one, answers every head request first. All four stores of each
+// shard must end bit-identical and every ack sit exactly once at its
+// position, at every party.
+func TestShardScenarioResumeUnderLoad(t *testing.T) {
+	const n, tf, shards, slots, width = 4, 1, 2, 12, 2
+	const crashAt, rejoin = 2, 8
+	const session = "shard/resume"
+	rec := trace.New(8192)
+	c := testkit.New(n, tf, testkit.WithSeed(67), testkit.WithTimeout(120*time.Second), testkit.WithTrace(rec))
+	defer c.Close()
+	c.DumpOnFailure(t)
+
+	cfg := localCfg
+	cfg.Trace = rec
+	cfg.FastPathWait = 50 * time.Millisecond // slots without party 3 all fall back
+	opts := Options{
+		Session: session, Shards: shards, Slots: slots, Width: width, Core: cfg,
+		Sync:         statesync.Options{ChunkSlots: 3},
+		OnSlotCommit: func(shard, slot int, ops []Op) { c.Progress(slot) },
+	}
+	engines := make(map[int]*Engine, n)
+	for id := 0; id < n; id++ {
+		eng, err := New(c.Envs[id], opts)
+		if err != nil {
+			t.Fatalf("party %d: New: %v", id, err)
+		}
+		engines[id] = eng
+	}
+	for s := 0; s < shards; s++ {
+		liar := statesync.LyingServer{Session: Session(session, s)}
+		go func() { _ = liar.Run(c.Ctx, c.Envs[2]) }()
+	}
+
+	type secondLife struct {
+		eng *Engine
+		err error
+	}
+	resumed := make(chan secondLife, 1)
+	c.Start(testkit.Scenario{Name: "resume-under-load", Steps: []testkit.Step{
+		{Name: "crash+restart", At: crashAt, Do: func(c *testkit.Cluster) {
+			c.Crash(3)
+			o := opts
+			o.From = rejoin
+			eng, err := New(c.RestartFresh(3), o) // state loss: new node, empty stores
+			if err != nil {
+				resumed <- secondLife{err: err}
+				return
+			}
+			go func() { resumed <- secondLife{eng, eng.Run(c.Ctx, c.Ctx)} }()
+		}},
+	}})
+	firstLife := engines[3]
+	go func() { _ = firstLife.Run(c.Ctx, c.Ctx) }() // the crash ends it; never awaited
+
+	var runWG sync.WaitGroup
+	errs := make([]error, 3)
+	for id := 0; id < 3; id++ {
+		id, eng := id, engines[id]
+		runWG.Add(1)
+		go func() {
+			defer runWG.Done()
+			errs[id] = eng.Run(c.Ctx, c.Ctx)
+		}()
+	}
+
+	// One closed-loop client per live front door, submitting until its
+	// door's run ends.
+	type ack struct {
+		stream, payload string
+		pos             Pos
+	}
+	acks := make([][]ack, 3)
+	var cliWG sync.WaitGroup
+	for id := 0; id < 3; id++ {
+		id, eng := id, engines[id]
+		cliWG.Add(1)
+		go func() {
+			defer cliWG.Done()
+			for i := 0; ; i++ {
+				a := ack{stream: fmt.Sprintf("stream-%d", (id+i)%5), payload: fmt.Sprintf("resume/p%d/op-%d", id, i)}
+				pos, err := eng.Submit(c.Ctx, []byte(a.stream), []byte(a.payload))
+				if err != nil {
+					return // ErrUncommitted or ErrFinished: the run is over
+				}
+				a.pos = pos
+				acks[id] = append(acks[id], a)
+			}
+		}()
+	}
+	cliWG.Wait()
+	runWG.Wait()
+	for id, err := range errs {
+		if err != nil {
+			t.Fatalf("party %d run: %v", id, err)
+		}
+	}
+	second := <-resumed
+	if second.err != nil {
+		t.Fatalf("resumed party 3: %v", second.err)
+	}
+	engines[3] = second.eng
+
+	parties := []int{0, 1, 2, 3}
+	flat := agreeShardLedgers(t, engines, parties, shards)
+	count := map[string]int{}
+	for _, ops := range flat {
+		for _, op := range ops {
+			count[string(op.Payload)]++
+		}
+	}
+	acked, late := 0, 0
+	for _, perDoor := range acks {
+		for _, a := range perDoor {
+			acked++
+			if a.pos.Slot >= rejoin {
+				late++
+			}
+			if count[a.payload] != 1 {
+				t.Fatalf("acked op %q committed %d times", a.payload, count[a.payload])
+			}
+			for _, id := range parties {
+				got := opAt(t, engines[id], a.pos)
+				if string(got.Stream) != a.stream || string(got.Payload) != a.payload {
+					t.Fatalf("party %d has (%q,%q) at %+v, want (%q,%q)",
+						id, got.Stream, got.Payload, a.pos, a.stream, a.payload)
+				}
+			}
+		}
+	}
+	if late == 0 {
+		t.Fatalf("no op was acked in a slot the resumed party ran live (%d acked)", acked)
+	}
+	for s := 0; s < shards; s++ {
+		if got := engines[3].Store(s).Next(); got != slots {
+			t.Fatalf("resumed party holds %d/%d slots of shard %d", got, slots, s)
+		}
+	}
+	t.Logf("%d ops acked (%d after the rejoin) and verified at all four parties", acked, late)
 }

@@ -1,11 +1,13 @@
-// Package shard scales the atomic-broadcast ledger out horizontally: S
-// independent store-backed ledger shards (each its own acs.RunFrom over a
-// slot Store, fast-path + BCA enabled) run over ONE shared transport and
-// party set, multiplexed purely by session namespacing — the same
-// mechanism that lets slots of a single ledger pipeline. Client
-// submissions are routed to a shard by a deterministic hash of their
-// stream id, batched into that shard's next slot, and acknowledged with
-// their committed (shard, slot, index) position.
+// Package shard drives every atomic-broadcast ledger over a static member
+// set, and scales it out horizontally: S ≥ 1 independent store-backed
+// ledger shards (each its own acs.RunFrom over a slot Store, fast-path +
+// BCA enabled, with its own snapshot server) run over ONE shared
+// transport and party set, multiplexed purely by session namespacing —
+// the same mechanism that lets slots of a single ledger pipeline. A plain
+// ledger is S=1; a restarted replica is a start cursor (Options.From).
+// Client submissions are routed to a shard by a deterministic hash of
+// their stream id, batched into that shard's next slot, and acknowledged
+// with their committed (shard, slot, index) position.
 //
 // The consistency contract is sequential consistency per shard and per
 // stream: within a shard, every party commits the identical slot

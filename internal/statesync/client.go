@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"asyncft/internal/acs"
-	"asyncft/internal/core"
 	"asyncft/internal/obs"
 	"asyncft/internal/rbc"
 	"asyncft/internal/runtime"
@@ -152,22 +151,4 @@ func fetchHead(ctx context.Context, env *runtime.Env, name string, req headReq, 
 			return h, nil
 		}
 	}
-}
-
-// Resume is the restarted-replica composition used by the public Cluster
-// API and cmd/node alike: live participation in slots [from, slots) via
-// acs.RunFrom and catch-up of [store.Next(), from) via Sync run
-// concurrently, and both must succeed. On a RunFrom error the sync
-// goroutine is abandoned to ctx (it can only be blocked on ctx-bounded
-// receives), matching the repository's helper-lifetime discipline.
-func Resume(ctx, helperCtx context.Context, env *runtime.Env, name string, store *acs.Store, from, slots, width int, input func(slot int) []byte, cfg core.Config, opts Options) error {
-	syncErr := make(chan error, 1)
-	go func() { syncErr <- Sync(ctx, env, name, store, from, opts) }()
-	if err := acs.RunFrom(ctx, helperCtx, env, name, from, slots, width, input, cfg, store); err != nil {
-		return err
-	}
-	if err := <-syncErr; err != nil {
-		return fmt.Errorf("state transfer: %w", err)
-	}
-	return nil
 }

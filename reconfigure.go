@@ -91,13 +91,13 @@ func (d *DynamicMembership) validate(n int) error {
 // the minimum, starving the re-share quorum) are submitted but
 // deterministically ignored by every party.
 func (c *Cluster) Reconfigure(session string, ch MembershipChange) error {
-	c.syncMu.Lock()
-	src, ok := c.reconfigSrcs["abc/"+session]
-	c.syncMu.Unlock()
-	if !ok {
+	c.runMu.Lock()
+	run := c.runs["abc/"+session]
+	c.runMu.Unlock()
+	if run == nil || run.src == nil {
 		return fmt.Errorf("asyncft: Reconfigure %q: no dynamic-membership run registered", session)
 	}
-	src.Schedule(reconfig.ScheduledChange{
+	run.src.Schedule(reconfig.ScheduledChange{
 		Slot:   ch.Slot,
 		Change: reconfig.Change{Add: ch.Add, Party: ch.Party, Addr: ch.Addr},
 	})
@@ -117,15 +117,10 @@ func (c *Cluster) runDynamicMembership(spec AtomicBroadcastSpec) ([]LedgerEntry,
 	if len(spec.Resume) > 0 {
 		return nil, fmt.Errorf("asyncft: DynamicMembership is incompatible with Resume (joiners bootstrap via the schedule)")
 	}
+	if spec.Shards > 0 {
+		return nil, fmt.Errorf("asyncft: DynamicMembership is incompatible with Shards")
+	}
 	sess := "abc/" + spec.Session
-	cfg := c.core
-	if spec.NoCodedBroadcast {
-		cfg.RBC.CodedThreshold = -1
-	}
-	stores, fresh := c.registerSyncRun(sess)
-	if !fresh {
-		return nil, fmt.Errorf("asyncft: session %q already ran", spec.Session)
-	}
 
 	src := reconfig.NewSource()
 	for _, ch := range d.Changes {
@@ -134,9 +129,9 @@ func (c *Cluster) runDynamicMembership(spec AtomicBroadcastSpec) ([]LedgerEntry,
 			Change: reconfig.Change{Add: ch.Add, Party: ch.Party, Addr: ch.Addr},
 		})
 	}
-	c.syncMu.Lock()
-	c.reconfigSrcs[sess] = src
-	c.syncMu.Unlock()
+	if err := c.registerRun(sess, &ledgerRun{src: src, syncName: sess}); err != nil {
+		return nil, err
+	}
 
 	syncOpts := c.cfg.syncOptions()
 	res := c.run(func(ctx context.Context, env *runtime.Env) (interface{}, error) {
@@ -152,12 +147,11 @@ func (c *Cluster) runDynamicMembership(spec AtomicBroadcastSpec) ([]LedgerEntry,
 			Slots:     spec.Slots,
 			Width:     spec.Width,
 			Input:     input,
-			Core:      cfg,
+			Core:      c.core,
 			Sync:      syncOpts,
 			Source:    src,
 			PoolSize:  d.PoolSize,
 			CheckPool: d.CheckPool,
-			Store:     stores[env.ID],
 		})
 	})
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"asyncft/internal/shard"
 )
 
 // TestClusterShardedBroadcast drives the public sharded API end to end:
@@ -85,28 +87,100 @@ func TestClusterShardedBroadcast(t *testing.T) {
 	}
 }
 
-// TestClusterShardedSpecValidation pins the spec errors: sharded runs
-// are fed through Submit only, and QueueCap means nothing without them.
+// TestClusterShardedSpecValidation pins which specs compose and which do
+// not: Shards, Resume, Payloads and QueueCap are parameters of one run,
+// while DynamicMembership stays a driver of its own and the fault budget
+// still binds.
 func TestClusterShardedSpecValidation(t *testing.T) {
-	c, err := New(fastConfig(62))
+	cfg := fastConfig(62)
+	cfg.Byzantine = map[int]Behavior{3: Crash()}
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	bad := []AtomicBroadcastSpec{
-		{Session: "v1", Slots: 2, Shards: 1, Payloads: func(party, slot int) []byte { return nil }},
-		{Session: "v2", Slots: 2, Shards: 1, Resume: map[int]int{1: 1}},
 		{Session: "v3", Slots: 2, Shards: 1, DynamicMembership: &DynamicMembership{Genesis: []int{0, 1, 2}}},
-		{Session: "v4", Slots: 2, QueueCap: 8},
 		{Session: "v5", Slots: 2, Shards: -1, QueueCap: 8},
+		{Session: "v6", Slots: 2, Shards: 2, Resume: map[int]int{1: 1}}, // resumed + Byzantine > T
+		{Session: "v7", Slots: 2, Resume: map[int]int{3: 1}},            // Resume names the Byzantine party
 	}
 	for i, spec := range bad {
 		if _, err := c.RunAtomicBroadcast(spec); err == nil {
-			t.Errorf("spec %d (%+v) accepted, want error", i, spec)
+			t.Errorf("bad spec %d (%+v) accepted, want error", i, spec)
 		}
 	}
 	if _, err := c.Submit("never-ran", 9, []byte("s"), []byte("p")); err == nil {
 		t.Error("Submit with out-of-range party accepted")
+	}
+
+	// The combinations that used to be rejected run, and agree.
+	h, err := New(fastConfig(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	good := []AtomicBroadcastSpec{
+		{Session: "v1", Slots: 2, Shards: 1, Payloads: func(party, slot int) []byte { return nil }},
+		{Session: "v2", Slots: 2, Shards: 1, Resume: map[int]int{1: 1}},
+		{Session: "v4", Slots: 2, QueueCap: 8},
+	}
+	for i, spec := range good {
+		if _, err := h.RunAtomicBroadcast(spec); err != nil {
+			t.Errorf("good spec %d (%+v): %v", i, spec, err)
+		}
+	}
+	if _, err := h.RunAtomicBroadcast(good[0]); err == nil {
+		t.Error("session reuse accepted, want error")
+	}
+}
+
+// TestClusterShardedResumeSubmit is the composition the sharded driver
+// used to reject, fed the way it was meant to be: two shards, party 3 a
+// restarted replica, clients submitting at the other parties throughout.
+// RunAtomicBroadcast's own check proves per-shard bit-identical stores at
+// every party including the resumed one; every ack must name a position
+// on the shard its stream routes to, and SyncFrom must refuse the session
+// (it cannot say which shard).
+func TestClusterShardedResumeSubmit(t *testing.T) {
+	c, err := New(fastConfig(65))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const shards, slots, rejoin, subs = 2, 8, 3, 12
+	var wg sync.WaitGroup
+	errs := make([]error, subs)
+	for i := 0; i < subs; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stream := []byte(fmt.Sprintf("stream-%d", i%4))
+			var pos SubmitPos
+			pos, errs[i] = c.Submit("shardresume", i%3, stream, []byte(fmt.Sprintf("op-%d", i)))
+			if want := shard.Route(stream, shards); errs[i] == nil && pos.Shard != want {
+				t.Errorf("submit %d acked on shard %d, routes to %d", i, pos.Shard, want)
+			}
+		}()
+	}
+	ledger, err := c.RunAtomicBroadcast(AtomicBroadcastSpec{
+		Session: "shardresume", Slots: slots, Width: 2, Shards: shards, Resume: map[int]int{3: rejoin},
+	})
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range errs {
+		if err != nil && !errors.Is(err, ErrUncommitted) {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	if len(ledger) == 0 {
+		t.Fatal("empty ledger despite submissions")
+	}
+	if _, err := c.SyncFrom("shardresume", 0, 0, slots); err == nil {
+		t.Fatal("SyncFrom on a two-shard session accepted")
 	}
 }
 
