@@ -163,7 +163,12 @@
 //     vanishes identically everywhere. cmd/node -serve (with any
 //     -shards and -resume) opens an HTTP front door (POST /submit long-polls for the
 //     position ack, 429 on overload; GET /log streams the committed
-//     ops).
+//     ops). Committed slots are retired: once n−t parties have announced
+//     a cursor more than a pipeline window past a slot, its session tree
+//     is released (helpers end, late frames are dropped), so a node's
+//     sessions, goroutines and heap follow the window, not the ledger's
+//     length; a party a quorum has left behind fetches what it lacks
+//     from the stores by state transfer while its live slots go on.
 //
 //   - A batched multi-session pipeline (RunBatch with CoinFlipSpec,
 //     BinaryAgreementSpec, ShareAndReconstructSpec): K independent protocol

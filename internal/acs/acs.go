@@ -20,6 +20,21 @@
 // instead of K times (experiment E11 quantifies the gain under
 // latency-bound schedules).
 //
+// Slot lifecycle: admit → commit → retire. RunFrom admits slot k (its
+// sessions, forked environment and batch come into being then), the slot
+// commits into the Store — by its own protocol, or, at a party that fell
+// behind, by state transfer, which cancels the party's own run of it — and
+// the slot's helpers (every A-Cast's serving loop, the fast path's pump
+// and SLOW responder, fallback agreement and coin helpers) stay up under
+// helperCtx for the parties still running it. The paper's protocols are
+// one-shot and cannot observe that nobody needs them any more; a ledger
+// can: once a quorum's stores hold slot k, Retire releases the slot's
+// whole session tree (runtime.Node.ReleaseBelow), which ends those
+// helpers and makes the party drop any later frame for the slot. A
+// retired slot answers nothing; whoever still lacks it gets it from the
+// stores through internal/statesync. Deciding when a quorum holds a slot
+// needs the peers' cursors and is the driver's job (internal/shard).
+//
 // Slot broadcasts run through rbc.RunCoded: batches at or above the
 // configured coded threshold (core.Config.RBC) are dispersed as
 // Reed–Solomon fragments + digest instead of full-value echoes, cutting
@@ -313,6 +328,12 @@ func Run(ctx, helperCtx context.Context, env *runtime.Env, session string, slots
 // its length, and input sources that accumulate between slots (a serving
 // queue, a paced proposer) see everything that arrived so far.
 //
+// input is called once for every slot, from the slot's own goroutine as
+// the slot is admitted. A slot that store already holds when its batch is
+// in hand — another path (state transfer) committed it — is not run, and
+// one that store comes to hold while it runs is cancelled; neither is an
+// error, and the batch is simply not carried by that slot.
+//
 // The caller owns store and reads the final ledger from store.Ledger()
 // once every slot below `slots` is committed (RunFrom itself only
 // guarantees slots [from, slots)). On failure RunFrom returns the error
@@ -328,9 +349,10 @@ func RunFrom(ctx, helperCtx context.Context, env *runtime.Env, session string, f
 		width = slots - from
 	}
 	var (
-		mu      sync.Mutex
-		errSlot = -1
-		slotErr error
+		mu       sync.Mutex
+		errSlot  = -1
+		slotErr  error
+		inflight = make(map[int]context.CancelFunc, width)
 	)
 	fail := func(k int, err error) {
 		mu.Lock()
@@ -339,6 +361,32 @@ func RunFrom(ctx, helperCtx context.Context, env *runtime.Env, session string, f
 		}
 		mu.Unlock()
 	}
+	// Slots below the store's cursor that are still in flight were
+	// committed by state transfer: this party is behind a quorum that may
+	// have retired them, so their own runs might wait forever.
+	var watcher sync.WaitGroup
+	done := make(chan struct{})
+	watcher.Add(1)
+	go func() {
+		defer watcher.Done()
+		for {
+			advanced := store.Advanced()
+			next := store.Next()
+			mu.Lock()
+			for k, cancel := range inflight {
+				if k < next {
+					cancel()
+				}
+			}
+			mu.Unlock()
+			select {
+			case <-advanced:
+			case <-done:
+				return
+			}
+		}
+	}()
+	family := slotFamily(session)
 	sem := make(chan struct{}, width)
 	var wg sync.WaitGroup
 admit:
@@ -354,24 +402,57 @@ admit:
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			sess := runtime.SubSession(session, "slot", k)
+			// The slot's own context ends with the slot: what must outlive
+			// it runs under helperCtx.
+			slotCtx, cancel := context.WithCancel(ctx)
+			mu.Lock()
+			inflight[k] = cancel
+			mu.Unlock()
+			defer func() {
+				cancel()
+				mu.Lock()
+				delete(inflight, k)
+				mu.Unlock()
+			}()
+			sess := runtime.SubSession(family, k)
 			var payload []byte
 			if input != nil {
 				payload = input(k)
 			}
-			entries, err := RunSlot(ctx, helperCtx, env.Fork(sess), sess, k, payload, cfg)
+			if _, held := store.Slot(k); held {
+				return
+			}
+			entries, err := RunSlot(slotCtx, helperCtx, env.Fork(sess), sess, k, payload, cfg)
 			if err != nil {
-				fail(k, err)
+				if _, held := store.Slot(k); !held {
+					fail(k, err)
+				}
 				return
 			}
 			store.SetSlot(k, entries)
 		}()
 	}
 	wg.Wait()
+	close(done)
+	watcher.Wait()
 	if slotErr != nil {
 		return fmt.Errorf("acs %s: slot %d: %w", session, errSlot, slotErr)
 	}
 	return nil
+}
+
+// slotFamily is the session under which a run's slots are numbered: slot k
+// lives in the subtree slotFamily(session)/k.
+func slotFamily(session string) string { return runtime.SubSession(session, "slot") }
+
+// Retire releases the session trees of slots [0, below) of the run rooted
+// at session at this party: their helpers end and later frames for them
+// are dropped (see the package comment). The caller must hold every one of
+// those slots in its store, and know that enough other stores do for a
+// party that lacks one to fetch it: this party will not help run them
+// again.
+func Retire(env *runtime.Env, session string, below int) {
+	env.Node.ReleaseBelow(slotFamily(session), below)
 }
 
 // BuildLedger flattens per-slot outputs into the final ordered ledger:

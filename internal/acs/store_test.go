@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"testing"
+	"time"
 
+	"asyncft/internal/obs"
 	"asyncft/internal/runtime"
 	"asyncft/internal/testkit"
 )
@@ -142,5 +144,63 @@ func TestRunFromRejectsBadRange(t *testing.T) {
 	}
 	if err := RunFrom(c.Ctx, c.Ctx, c.Envs[0], "abc/nilstore", 0, 1, 0, nil, localCfg, nil); err == nil {
 		t.Fatal("nil store accepted")
+	}
+}
+
+// TestRunFromYieldsToInstalledSlots: a party whose peers are gone cannot
+// finish a slot by protocol. When the slots reach its store another way —
+// state transfer, for a party behind a quorum that retired them — RunFrom
+// cancels its own runs of them, skips the ones it had not started, still
+// asks input for every slot, and returns without error; Retire then ends
+// what the cancelled runs left under helperCtx.
+func TestRunFromYieldsToInstalledSlots(t *testing.T) {
+	const n, tf, slots, width = 4, 1, 6, 2
+	c := testkit.New(n, tf, testkit.WithSeed(43))
+	defer c.Close()
+	reg := obs.NewRegistry()
+	c.Nodes[0].Instrument(reg)
+	store := NewStore()
+	asked := make(chan int, slots)
+	done := make(chan error, 1)
+	go func() {
+		done <- RunFrom(c.Ctx, c.Ctx, c.Envs[0], "abc/yield", 0, slots, width, func(slot int) []byte {
+			asked <- slot
+			return payloadFor(0, slot)
+		}, localCfg, store)
+	}()
+	for want := 0; want < width; want++ { // the window is admitted and stuck: nobody else runs
+		select {
+		case <-asked:
+		case <-c.Ctx.Done():
+			t.Fatal("window never admitted")
+		}
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("RunFrom returned %v with no peers", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	for k := 0; k < slots; k++ {
+		store.SetSlot(k, slotEntries(k, 1, 2, 3))
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("RunFrom: %v", err)
+		}
+	case <-c.Ctx.Done():
+		t.Fatal("RunFrom kept waiting for slots its store already holds")
+	}
+	if got := len(asked) + width; got != slots {
+		t.Fatalf("input asked for %d slots, want all %d", got, slots)
+	}
+	// The cancelled runs' broadcasts still listen under helperCtx; retiring
+	// the slots ends them and empties the session tree.
+	if v, _ := reg.Snapshot("runtime_sessions_active"); v[""] == 0 {
+		t.Fatal("no session left behind by the cancelled slots: nothing for Retire to prove")
+	}
+	Retire(c.Envs[0], "abc/yield", slots)
+	if v, _ := reg.Snapshot("runtime_sessions_active"); v[""] != 0 {
+		t.Fatalf("runtime_sessions_active = %v after retiring every slot", v[""])
 	}
 }

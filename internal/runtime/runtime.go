@@ -9,6 +9,15 @@
 // that arrive before the local instance starts are buffered — a hard
 // requirement of the asynchronous model, where a fast peer may be several
 // protocol phases ahead.
+//
+// A mailbox lives until its node closes, a RoutePrefix claim adopts it, or
+// the numbered subtree it belongs to is released (ReleaseBelow): a caller
+// that runs an unbounded sequence of instances under family/0, family/1, …
+// — the slots of a ledger — releases the ones it no longer needs, which
+// closes and deletes every mailbox under them (blocked receivers return
+// ErrClosed, which is how the instance's helper goroutines end) and leaves
+// a tombstone cursor behind, so a late or hostile frame for a released
+// instance is dropped instead of minting its mailbox again.
 package runtime
 
 import (
@@ -16,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -30,13 +40,14 @@ var ErrClosed = errors.New("runtime: node closed")
 type Node struct {
 	id, n, t int
 
-	mu      sync.Mutex
-	boxes   map[string]*Mailbox
-	routes  []*route       // prefix handlers, consulted before mailboxes
-	shunGen map[int]uint64 // party -> generation at which it was shunned
-	gen     uint64         // monotonically increases with each new mailbox
-	shuns   int            // total shun events recorded by this node
-	closed  bool
+	mu       sync.Mutex
+	boxes    map[string]*Mailbox
+	released map[string]int // family -> tombstone cursor (see ReleaseBelow)
+	routes   []*route       // prefix handlers, consulted before mailboxes
+	shunGen  map[int]uint64 // party -> generation at which it was shunned
+	gen      uint64         // monotonically increases with each new mailbox
+	shuns    int            // total shun events recorded by this node
+	closed   bool
 
 	// instrument handles (nil without Instrument; all updates no-op then).
 	activeBoxes *obs.Gauge   // mailboxes currently registered
@@ -71,11 +82,12 @@ type route struct {
 // NewNode creates a node for party id among n parties tolerating t faults.
 func NewNode(id, n, t int) *Node {
 	return &Node{
-		id:      id,
-		n:       n,
-		t:       t,
-		boxes:   make(map[string]*Mailbox),
-		shunGen: make(map[int]uint64),
+		id:       id,
+		n:        n,
+		t:        t,
+		boxes:    make(map[string]*Mailbox),
+		released: make(map[string]int),
+		shunGen:  make(map[int]uint64),
 	}
 }
 
@@ -94,6 +106,8 @@ func (nd *Node) ID() int { return nd.id }
 // and the mailbox push happen under one critical section, so a message is
 // either seen by RoutePrefix's adoption sweep or diverted to the route;
 // none can slip into a mailbox the sweep already drained.
+//
+// An envelope for a released session (see ReleaseBelow) is dropped.
 func (nd *Node) Dispatch(env wire.Envelope) {
 	nd.mu.Lock()
 	for i := len(nd.routes) - 1; i >= 0; i-- {
@@ -104,6 +118,10 @@ func (nd *Node) Dispatch(env wire.Envelope) {
 		}
 	}
 	box := nd.box(env.Session)
+	if box == retiredBox {
+		nd.mu.Unlock()
+		return
+	}
 	env.Session = box.session
 	if g, shunned := nd.shunGen[env.From]; shunned && box.gen > g {
 		// Shunned parties are ignored in interactions that began after the
@@ -162,10 +180,14 @@ func (nd *Node) RoutePrefix(prefix string, h func(wire.Envelope)) (remove func()
 	}
 }
 
-// box returns (creating if needed) the mailbox for a session. Caller holds mu.
+// box returns (creating if needed) the mailbox for a session, or
+// retiredBox for a released one. Caller holds mu.
 func (nd *Node) box(session string) *Mailbox {
 	b := nd.boxes[session]
 	if b == nil {
+		if nd.retired(session) {
+			return retiredBox
+		}
 		nd.gen++
 		b = newMailbox(session, nd.gen)
 		b.depthHW = nd.depthHW
@@ -179,11 +201,97 @@ func (nd *Node) box(session string) *Mailbox {
 	return b
 }
 
-// Mailbox returns the mailbox for a session, creating it if necessary.
+// Mailbox returns the mailbox for a session, creating it if necessary. A
+// released session (see ReleaseBelow) gets a closed, empty mailbox: Recv on
+// it returns ErrClosed at once and nothing is registered.
 func (nd *Node) Mailbox(session string) *Mailbox {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	return nd.box(session)
+}
+
+// retiredBox stands in for every released session's mailbox: closed and
+// empty, so pushes are dropped and receives fail with ErrClosed. It is
+// never mutated after init.
+var retiredBox = &Mailbox{closed: true}
+
+// ReleaseBelow retires the instances family/0 … family/(below−1): every
+// mailbox whose session is family/k or lies under family/k/ with k < below
+// is closed (blocked receivers return ErrClosed) and deleted, and the
+// family's tombstone cursor advances to below, so from now on Dispatch
+// drops envelopes for those sessions and Mailbox hands out a closed
+// mailbox instead of creating one. Instances at or above the cursor, other
+// families and RoutePrefix claims are untouched. The cursor only moves
+// forward; a call that would not advance it does nothing. The state kept
+// per family is one integer, however many instances were released.
+//
+// The caller decides when an instance is no longer needed by anyone — for
+// a ledger slot, once a quorum's stores hold it (see internal/shard).
+func (nd *Node) ReleaseBelow(family string, below int) {
+	nd.mu.Lock()
+	if below <= nd.released[family] {
+		nd.mu.Unlock()
+		return
+	}
+	nd.released[family] = below
+	var dead []*Mailbox
+	for s, b := range nd.boxes {
+		if !strings.HasPrefix(s, family) {
+			continue
+		}
+		if k, ok := instance(s, len(family)); ok && k < below {
+			delete(nd.boxes, s)
+			dead = append(dead, b)
+		}
+	}
+	nd.activeBoxes.Set(int64(len(nd.boxes)))
+	nd.mu.Unlock()
+	for _, b := range dead {
+		b.close()
+	}
+}
+
+// ReleasedBelow returns family's tombstone cursor: instances below it have
+// been released.
+func (nd *Node) ReleasedBelow(family string) int {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	return nd.released[family]
+}
+
+// retired reports whether session lies in a released instance of some
+// family. It is consulted only when a session has no mailbox — creation is
+// the rare path, and a live session never pays for it — and costs one map
+// lookup per path segment, whatever the number of families. Caller holds mu.
+func (nd *Node) retired(session string) bool {
+	if len(nd.released) == 0 {
+		return false
+	}
+	for i := 0; i < len(session); i++ {
+		if session[i] != '/' {
+			continue
+		}
+		if below, ok := nd.released[session[:i]]; ok {
+			if k, ok := instance(session, i); ok && k < below {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// instance parses the decimal path segment that follows the separator at
+// session[at]: the k of family/k or family/k/… for a family of length at.
+func instance(session string, at int) (k int, ok bool) {
+	if at >= len(session) || session[at] != '/' {
+		return 0, false
+	}
+	seg := session[at+1:]
+	if end := strings.IndexByte(seg, '/'); end >= 0 {
+		seg = seg[:end]
+	}
+	k, err := strconv.Atoi(seg)
+	return k, err == nil && k >= 0
 }
 
 // Shun records that this party shuns party j from now on: j's messages are
@@ -328,37 +436,49 @@ type Env struct {
 	Rand *rand.Rand
 }
 
-// lockedSource makes a math/rand source safe for concurrent use. The
-// protocol stack flips coins and forks randomness streams from many
-// goroutines of the same party; determinism per seed is preserved up to
-// goroutine scheduling (which the asynchronous model treats as adversarial
-// anyway).
+// lockedSource makes a math/rand source safe for concurrent use, and
+// builds it on first use. The protocol stack flips coins and forks
+// randomness streams from many goroutines of the same party; determinism
+// per seed is preserved up to goroutine scheduling (which the asynchronous
+// model treats as adversarial anyway). Fork runs once per sub-protocol
+// instance — thousands of times per agreement — and most instances never
+// draw, so a stream costs its seed until something is drawn from it, not
+// the 607-word lagged-Fibonacci state rand.NewSource fills.
 type lockedSource struct {
-	mu  sync.Mutex
-	src rand.Source64
+	mu   sync.Mutex
+	seed int64
+	src  rand.Source64 // nil until the first draw
+}
+
+// source returns the generator, seeding it on first use. Caller holds mu.
+func (s *lockedSource) source() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
 }
 
 func (s *lockedSource) Int63() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.src.Int63()
+	return s.source().Int63()
 }
 
 func (s *lockedSource) Uint64() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.src.Uint64()
+	return s.source().Uint64()
 }
 
 func (s *lockedSource) Seed(seed int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.src.Seed(seed)
+	s.seed, s.src = seed, nil
 }
 
 // newLockedRand builds a concurrency-safe *rand.Rand from a seed.
 func newLockedRand(seed int64) *rand.Rand {
-	return rand.New(&lockedSource{src: rand.NewSource(seed).(rand.Source64)})
+	return rand.New(&lockedSource{seed: seed})
 }
 
 // Sender is the transmit half of a transport: the in-memory simulated

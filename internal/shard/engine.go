@@ -55,6 +55,9 @@ type Options struct {
 	// Width bounds each shard's slot pipeline (0 = all slots at once).
 	// Serving deployments want a small bound (e.g. 2): slots admitted
 	// later drain ops submitted later, which is what keeps acks flowing.
+	// It is also the distance that counts as pipelining rather than
+	// lagging: a slot is retired once a quorum is more than Width past it
+	// (see Engine.retire), so a run with Width 0 retires nothing.
 	Width int
 	// QueueCap bounds each shard's admission queue (queued + in-flight
 	// ops); a full queue rejects with ErrOverloaded. Default 1024.
@@ -63,9 +66,10 @@ type Options struct {
 	// capped at MaxOpsPerBatch; batches are additionally bounded by
 	// acs.MaxPayloadSize in bytes.
 	MaxOps int
-	// DrainWait is how long a slot whose shard queue is empty waits for
-	// an op to arrive before contributing an empty batch — the serving
-	// pacing knob. 0 means the 50ms default; negative disables waiting.
+	// DrainWait is how long, from its admission, a slot whose shard queue
+	// is empty waits for an op to arrive before contributing an empty
+	// batch — the serving pacing knob. 0 means the 50ms default; negative
+	// disables waiting.
 	DrainWait time.Duration
 	// OnSlotCommit, when non-nil, observes every committed slot (in slot
 	// order per shard) with its flattened op list — the hook scenario
@@ -77,7 +81,8 @@ type Options struct {
 	// sound slot path, and the one every ledger run takes.
 	Core core.Config
 	// Sync tunes state transfer: the snapshot server every shard runs out
-	// of its store, and the catch-up of a party with From > 0.
+	// of its store, and this party's catch-up — of the prefix below From,
+	// and of whatever a quorum committed while it was behind.
 	Sync statesync.Options
 }
 
@@ -122,11 +127,19 @@ type shardState struct {
 	idx   int
 	sess  string
 	store *acs.Store
+	// srv serves the store to lagging peers and tracks the cursors the
+	// peers announce: what retire and catchUp decide on.
+	srv *statesync.Server
 
 	mu       sync.Mutex
 	queue    []*pending
 	inflight map[[2]int]*pending
 	scanned  int // slots [0, scanned) have been flattened and acked
+	// turn is the lowest slot that has not taken its batch yet: slots
+	// drain the queue in slot order. turned is closed and replaced when it
+	// moves.
+	turn   int
+	turned chan struct{}
 
 	closed bool // the run's final sweep passed; nothing is admitted after it
 
@@ -186,11 +199,15 @@ func New(env *runtime.Env, o Options) (*Engine, error) {
 	opsVec := reg.CounterVec("shard_ops_committed_total", "client ops committed per shard", "shard")
 	depthVec := reg.GaugeVec("shard_queue_depth", "admission queue depth per shard", "shard")
 	for s := 0; s < o.Shards; s++ {
+		sess, store := Session(o.Session, s), acs.NewStore()
 		e.shards = append(e.shards, &shardState{
 			idx:       s,
-			sess:      Session(o.Session, s),
-			store:     acs.NewStore(),
+			sess:      sess,
+			store:     store,
+			srv:       statesync.NewServer(env, sess, store, o.Sync),
 			inflight:  make(map[[2]int]*pending),
+			turn:      o.From,
+			turned:    make(chan struct{}),
 			arrival:   make(chan struct{}, 1),
 			committed: slotsVec.WithIndex(s),
 			opsTotal:  opsVec.WithIndex(s),
@@ -219,16 +236,17 @@ func (e *Engine) Ledger(s int) []acs.Entry { return e.shards[s].store.Ledger() }
 
 // Run executes all shards to completion: per shard, a snapshot server
 // over the shard's store, the acs.RunFrom pipeline of slots [From, Slots),
-// the state transfer of [0, From), and a commit watcher that acks
-// submissions as their slots commit. It returns when every shard holds
-// all its slots (nil) or any shard failed (the first error; the rest are
-// cancelled). Pending submissions that no slot committed resolve with
-// ErrUncommitted.
+// state transfer of whatever this party is behind on, the release of
+// slots a quorum holds, and a commit watcher that acks submissions as
+// their slots commit. It returns when every shard holds all its slots
+// (nil) or any shard failed (the first error; the rest are cancelled).
+// Pending submissions that no slot committed resolve with ErrUncommitted.
 //
 // ctx bounds the run; helperCtx (the cluster-lifetime context) keeps
 // broadcast and coin helpers alive for slower peers, as everywhere else —
-// and the snapshot servers with them, so lagging and resumed peers keep
-// pulling verified chunks after this party's run returned.
+// until their slot is retired — and the snapshot servers with them, so
+// lagging and resumed peers keep pulling verified chunks after this
+// party's run returned.
 func (e *Engine) Run(ctx, helperCtx context.Context) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -236,7 +254,8 @@ func (e *Engine) Run(ctx, helperCtx context.Context) error {
 	var watchers sync.WaitGroup
 	for _, sh := range e.shards {
 		sh := sh
-		go statesync.Serve(helperCtx, e.env, sh.sess, sh.store, e.o.Sync)
+		go sh.srv.Run(helperCtx)
+		go e.retire(helperCtx, sh)
 		watchers.Add(1)
 		go func() {
 			defer watchers.Done()
@@ -282,23 +301,121 @@ func (e *Engine) Run(ctx, helperCtx context.Context) error {
 }
 
 // runShard drives one shard's store to Slots: the live slots from the
-// start cursor on, and state transfer of the prefix below it (a no-op at
-// cursor 0). A transfer still running when the live slots fail is
-// abandoned to ctx, which Run cancels.
+// start cursor on, and beside them state transfer of whatever the party
+// is behind on. Both must finish; a transfer still running when the live
+// slots fail is cancelled.
 func (e *Engine) runShard(ctx, helperCtx context.Context, sh *shardState) error {
+	syncCtx, stopSync := context.WithCancel(ctx)
+	defer stopSync()
 	syncErr := make(chan error, 1)
-	go func() { syncErr <- statesync.Sync(ctx, e.env, sh.sess, sh.store, e.o.From, e.o.Sync) }()
+	go func() { syncErr <- e.catchUp(syncCtx, sh) }()
 	input := e.o.Input
 	if input == nil {
 		input = func(k int) []byte { return e.takeBatch(ctx, sh, k) }
 	}
 	if err := acs.RunFrom(ctx, helperCtx, e.env, sh.sess, e.o.From, e.o.Slots, e.o.Width, input, e.o.Core, sh.store); err != nil {
+		stopSync()
+		<-syncErr
 		return err
 	}
 	if err := <-syncErr; err != nil {
 		return fmt.Errorf("state transfer: %w", err)
 	}
 	return nil
+}
+
+// window is the pipeline's width in slots: how far apart two parties'
+// cursors can be while both are merely pipelining. A party is behind only
+// when a quorum is more than a window past its cursor; retire and catchUp
+// draw the line in the same place, so whatever one party may have retired,
+// a party that lacks it knows to fetch.
+func (e *Engine) window() int {
+	if e.o.Width > 0 {
+		return e.o.Width
+	}
+	return e.o.Slots
+}
+
+// retire releases sh's slots at this party as a quorum's stores come to
+// hold them. Slot k goes once this party has committed every slot up to k
+// and n−t parties (this one among them) have announced a cursor more than
+// a window above k: at most t of the announcers lie, so t+1 nonfaulty
+// stores hold the slot, and a party that lacks it fetches it from them
+// (catchUp) instead of from this party's helpers. The t faulty parties
+// cannot push the cursor past what those stores hold, and cannot hold it
+// back once n−t nonfaulty parties are past — one silent party does not
+// keep the slots alive. It runs until helperCtx ends, like the helpers it
+// retires.
+func (e *Engine) retire(ctx context.Context, sh *shardState) {
+	quorum := e.env.N - e.env.T
+	retired := 0
+	for {
+		advanced, reported := sh.store.Advanced(), sh.srv.Reported()
+		below := sh.srv.Held(quorum) - e.window()
+		if next := sh.store.Next(); next < below {
+			below = next
+		}
+		if below > retired {
+			acs.Retire(e.env, sh.sess, below)
+			retired = below
+		}
+		select {
+		case <-advanced:
+		case <-reported:
+		case <-ctx.Done():
+			return
+		}
+	}
+}
+
+// catchUp is the other side of retire: it transfers the slots this party
+// is behind on into sh's store, concurrently with the live slots, until
+// the store holds the whole run (nil) or ctx ends (its error). The peers that are
+// ahead may have retired those slots, so their protocol helpers cannot be
+// counted on; their stores can. acs.RunFrom cancels this party's own run
+// of a slot the transfer installs first, and drainCommitted re-queues the
+// ops that run was carrying.
+//
+// The party is behind when Held(2t+1) is more than a window past its
+// cursor, and that is the target: t+1 nonfaulty stores hold everything
+// below it, so the transfer completes whatever else happens. When only
+// t+1 parties are known to be that far ahead — a faulty party can announce
+// to some and not to others, so the slot at the cursor may already be
+// retired at a party that heard more — it asks for that one slot: at
+// least one nonfaulty store has it, the request completes as soon as t+1
+// do, and if the slot commits by its own protocol first the request is
+// dropped.
+func (e *Engine) catchUp(ctx context.Context, sh *shardState) error {
+	t := e.env.T
+	for {
+		advanced, reported := sh.store.Advanced(), sh.srv.Reported()
+		next := sh.store.Next()
+		if next >= e.o.Slots {
+			return nil
+		}
+		behind := next + e.window()
+		target := 0
+		if held := sh.srv.Held(2*t + 1); held > behind {
+			target = held
+		} else if sh.srv.Held(t+1) > behind {
+			target = next + 1
+		}
+		if next < e.o.From && target < e.o.From {
+			target = e.o.From // a restarted replica's missing prefix
+		}
+		if target > next {
+			if err := statesync.Sync(ctx, e.env, sh.sess, sh.store, target, e.o.Sync); err != nil {
+				return err
+			}
+			continue
+		}
+		select {
+		case <-advanced:
+		case <-reported:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 }
 
 // Submit routes one client op to its shard, applies admission control,
@@ -373,14 +490,60 @@ func (e *Engine) SubmitAsync(stream, payload []byte) (<-chan SubmitResult, error
 }
 
 // takeBatch drains up to MaxOps queued ops (bounded in bytes by the
-// A-Cast cap) into slot k's batch, marking them in flight. An empty
-// queue waits up to DrainWait for an arrival first; an empty return
-// means the slot carries no contribution from this party.
+// A-Cast cap) into slot k's batch, marking them in flight. A shard's slots
+// take their batches in slot order: with Width slots admitted together on
+// an empty queue, the next op to arrive rides the lowest of them, which
+// is the one whose commit its ack has to wait for anyway.
+//
+// A slot waits for an op only while the party is idle on this shard —
+// nothing queued and nothing of its own in flight — and at most DrainWait
+// from its admission, so an idle party's empty batches go out together.
+// When a lower slot is already carrying the party's ops the slot goes at
+// once with what is queued, possibly nothing: the other parties' batches
+// should not wait for this one, and what arrives meanwhile rides the next
+// slot. An empty return means the slot carries no contribution from this
+// party; a slot the store already holds (state transfer got there first)
+// takes nothing.
 func (e *Engine) takeBatch(ctx context.Context, sh *shardState, k int) []byte {
-	if e.o.DrainWait > 0 {
-		e.awaitArrival(ctx, sh)
-	}
+	admitted := time.Now()
 	sh.mu.Lock()
+	for sh.turn != k {
+		turned := sh.turned
+		sh.mu.Unlock()
+		select {
+		case <-turned:
+		case <-ctx.Done():
+			return nil // the run is over; the slots below are returning too
+		}
+		sh.mu.Lock()
+	}
+	// Only the slot whose turn it is waits for arrivals: the poke wakes one
+	// receiver, and it must be the one that can act.
+	idle := func() bool { return len(sh.queue) == 0 && len(sh.inflight) == 0 && k >= sh.store.Next() }
+	if left := e.o.DrainWait - time.Since(admitted); left > 0 && idle() {
+		budget := time.NewTimer(left)
+		defer budget.Stop()
+		for expired := false; !expired && idle(); {
+			advanced := sh.store.Advanced()
+			sh.mu.Unlock()
+			select {
+			case <-sh.arrival:
+			case <-advanced:
+			case <-budget.C:
+				expired = true
+			case <-ctx.Done():
+				return nil
+			}
+			sh.mu.Lock()
+		}
+	}
+	sh.turn = k + 1
+	close(sh.turned)
+	sh.turned = make(chan struct{})
+	if k < sh.store.Next() {
+		sh.mu.Unlock()
+		return nil
+	}
 	n := 0
 	size := 0
 	for n < len(sh.queue) && n < e.o.MaxOps {
@@ -408,24 +571,6 @@ func (e *Engine) takeBatch(ctx context.Context, sh *shardState, k int) []byte {
 	sh.depth.Set(int64(len(sh.queue)))
 	sh.mu.Unlock()
 	return EncodeOps(ops)
-}
-
-// awaitArrival blocks until sh's queue is (probably) non-empty, the
-// DrainWait pacing budget elapses, or the run is cancelled.
-func (e *Engine) awaitArrival(ctx context.Context, sh *shardState) {
-	sh.mu.Lock()
-	empty := len(sh.queue) == 0
-	sh.mu.Unlock()
-	if !empty {
-		return
-	}
-	t := time.NewTimer(e.o.DrainWait)
-	defer t.Stop()
-	select {
-	case <-sh.arrival:
-	case <-t.C:
-	case <-ctx.Done():
-	}
 }
 
 // watch acks submissions as sh's store cursor advances. The final sweep

@@ -9,6 +9,20 @@
 // their stream id, batched into that shard's next slot, and acknowledged
 // with their committed (shard, slot, index) position.
 //
+// A ledger's live state is its pipeline window, not its length. Every
+// party announces its stores' cursors (internal/statesync), and once n−t
+// parties are more than a window past a slot the engine retires it: the
+// slot's whole session tree is released, its helpers end, and late frames
+// for it are dropped (Engine.retire; the slot's entries stay in the
+// store). The same announcements tell a party that it is behind — not
+// only one that restarted with From > 0, but any live one that a quorum
+// has left more than a window behind, whose peers may have retired the
+// slots it is still running: it transfers them from the peers' stores
+// while its live slots go on, its own runs of the transferred slots are
+// cancelled, and the ops they carried are re-queued (Engine.catchUp).
+// Agreement does not depend on any of this: a slot enters a store by its
+// own protocol or as a chunk t+1 parties vouch for on the digest chain.
+//
 // The consistency contract is sequential consistency per shard and per
 // stream: within a shard, every party commits the identical slot
 // sequence (bit-identical stores, the acs invariant), and all of one

@@ -79,3 +79,27 @@ func (a WrongBytesServer) Run(ctx context.Context, env *runtime.Env) error {
 		}, rbc.Options{})
 	return nil
 }
+
+// CursorLiar announces a cursor the party's store never reached — the
+// announcement-level attack on whoever counts announced cursors toward a
+// quorum (internal/shard releases a slot's sessions on n−t of them). One
+// liar moves Held(r) only as far as the r−1 next-highest announcements
+// allow, so with at most t liars Held(n−t) never passes what t+1 nonfaulty
+// stores hold.
+type CursorLiar struct {
+	// Session is the sync service name.
+	Session string
+	// Cursor is the claimed cursor.
+	Cursor int
+}
+
+// Name implements adversary.Behavior.
+func (CursorLiar) Name() string { return "cursor-liar" }
+
+// Run implements adversary.Behavior. An entry only grows, so one
+// announcement per victim is the whole attack.
+func (a CursorLiar) Run(ctx context.Context, env *runtime.Env) error {
+	env.SendAll(HeadSession(a.Session), msgCursor, encodeCursor(a.Cursor))
+	<-ctx.Done()
+	return nil
+}

@@ -81,7 +81,9 @@ func Fetch(ctx context.Context, env *runtime.Env, name string, lo, hi int, ancho
 // installing each the moment it verifies — so a replica chasing a ledger
 // that is still committing streams chunks as the network's cursor
 // advances, instead of waiting for the full range to exist. It returns
-// once store.Next() ≥ target.
+// once store.Next() ≥ target, whoever got it there: a range the store
+// comes to hold by its own commits while the fetch is out is no longer
+// waited for.
 func Sync(ctx context.Context, env *runtime.Env, name string, store *acs.Store, target int, opts Options) error {
 	chunk := opts.chunkSlots()
 	for {
@@ -97,8 +99,27 @@ func Sync(ctx context.Context, env *runtime.Env, name string, store *acs.Store, 
 		if !ok {
 			return fmt.Errorf("statesync %s: local chain missing at cursor %d", name, lo)
 		}
-		slots, err := Fetch(ctx, env, name, lo, hi, &anchor, opts)
+		fetchCtx, cancel := context.WithCancel(ctx)
+		go func() {
+			for {
+				advanced := store.Advanced()
+				if store.Next() >= hi {
+					cancel()
+					return
+				}
+				select {
+				case <-advanced:
+				case <-fetchCtx.Done():
+					return
+				}
+			}
+		}()
+		slots, err := Fetch(fetchCtx, env, name, lo, hi, &anchor, opts)
+		cancel()
 		if err != nil {
+			if ctx.Err() == nil && store.Next() >= hi {
+				continue
+			}
 			return err
 		}
 		for i, entries := range slots {

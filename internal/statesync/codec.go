@@ -46,6 +46,21 @@ func parseHeadReq(payload []byte) (headReq, bool) {
 	return req, true
 }
 
+func encodeCursor(cursor int) []byte {
+	var w wire.Writer
+	w.Int(cursor)
+	return w.Bytes()
+}
+
+func parseCursor(payload []byte) (int, bool) {
+	if len(payload) > 10 {
+		return 0, false
+	}
+	r := wire.NewReader(payload)
+	c := r.Int()
+	return c, r.Err() == nil
+}
+
 func encodeHead(h head) []byte {
 	var w wire.Writer
 	w.Int(h.req.lo)

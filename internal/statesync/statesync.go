@@ -29,6 +29,18 @@
 // commits (Sync). Memory on both sides is bounded: chunks are re-encoded
 // from the store on demand (never cached), and a requester has at most
 // one outstanding range.
+//
+// Cursors. A server also announces its store's cursor to every party as
+// the ledger grows (one small message per cursorStride slots, on the head
+// session) and remembers the highest cursor each party announced. Held(r)
+// is the r-th largest of those: at most t announcements are lies, so
+// Held(2t+1) slots are in the stores of t+1 nonfaulty parties — a range
+// Fetch is certain to complete — and Held(n−t) is what the ledger driver
+// (internal/shard) waits for before it releases a slot's sessions: what a
+// quorum's stores hold, no replica needs any peer's protocol state for
+// (the assumption SC-ABD, PAPERS.md, makes explicit). An announcement is
+// a claim about the announcer's own store only; nothing is installed on
+// the strength of one.
 package statesync
 
 import (
@@ -129,7 +141,15 @@ func (o Options) headRetry() time.Duration {
 const (
 	msgHeadReq uint8 = 1
 	msgHead    uint8 = 2
+	msgCursor  uint8 = 3
 )
+
+// cursorStride coalesces cursor announcements: a server announces its
+// cursor when it crosses a multiple of the stride, so the announcements
+// cost a few frames per stride slots whatever the slot rate. Sessions are
+// released in steps of the same size; a ledger's live state is its
+// pipeline window plus about one stride of slots.
+const cursorStride = 4
 
 // HeadSession and PullSession name the two service endpoints of the sync
 // service rooted at name. The "sync" root gives the transfer its own
@@ -145,31 +165,54 @@ func PullSession(name string) string { return "sync/" + name + "/pull" }
 // started alongside acs.RunFrom — so lagging peers can catch up while live
 // slots keep committing.
 func Serve(ctx context.Context, env *runtime.Env, name string, store *acs.Store, opts Options) {
-	s := &server{
+	NewServer(env, name, store, opts).Run(ctx)
+}
+
+// NewServer builds the snapshot server Serve runs, for callers that also
+// read the cursors its peers announce (Held, Reported).
+func NewServer(env *runtime.Env, name string, store *acs.Store, opts Options) *Server {
+	return &Server{
 		env:      env,
 		store:    store,
 		opts:     opts,
 		m:        opts.metrics(),
 		headSess: HeadSession(name),
+		pullSess: PullSession(name),
 		pending:  make(map[int]headReq),
 		ranges:   make(map[[sha256.Size]byte]chunkRange),
+		cursors:  make([]int, env.N),
+		reported: make(chan struct{}),
 	}
+}
+
+// Run serves until ctx ends or the node closes.
+func (s *Server) Run(ctx context.Context) {
 	done := make(chan struct{})
 	defer close(done)
 	go s.answerLoop(ctx, done)
-	go rbc.ServePulls(ctx, env, PullSession(name), opts.maxChunkBytes(), s.lookup, opts.RBC)
-	serveHeads(ctx, env, HeadSession(name), s)
+	go rbc.ServePulls(ctx, s.env, s.pullSess, s.opts.maxChunkBytes(), s.lookup, s.opts.RBC)
+	s.serveHeads(ctx)
 }
 
-// server is one party's snapshot-serving state.
-type server struct {
+// Server is one party's side of a sync service: it serves ranges of its
+// store, announces the store's cursor and tracks its peers' cursors.
+type Server struct {
 	env      *runtime.Env
 	store    *acs.Store
 	opts     Options
 	m        syncMetrics
 	headSess string
+	pullSess string
+
+	// announced is the last cursor broadcast; only answerLoop touches it.
+	announced int
 
 	mu sync.Mutex
+	// cursors[j] is the highest cursor party j announced (this party's own
+	// announcements arrive like any peer's). reported is closed and
+	// replaced whenever an entry grows.
+	cursors  []int
+	reported chan struct{}
 	// pending holds at most one outstanding head request per requester —
 	// the issue's bounded-memory discipline; a newer request replaces the
 	// older.
@@ -199,23 +242,76 @@ func (r headReq) valid() bool {
 		(r.hi-r.lo+r.chunk-1)/r.chunk <= maxBoundsPerHead
 }
 
-// serveHeads drains head requests, answering the satisfiable ones and
-// parking the rest (one per requester) for answerLoop.
-func serveHeads(ctx context.Context, env *runtime.Env, session string, s *server) {
+// serveHeads drains the head session: head requests are answered when
+// satisfiable and parked otherwise (one per requester) for answerLoop;
+// cursor announcements update the sender's entry.
+func (s *Server) serveHeads(ctx context.Context) {
 	for {
-		msg, err := env.Recv(ctx, session)
+		msg, err := s.env.Recv(ctx, s.headSess)
 		if err != nil {
 			return
 		}
-		if msg.Type != msgHeadReq || msg.From < 0 || msg.From >= env.N {
+		if msg.From < 0 || msg.From >= s.env.N {
 			continue
 		}
-		req, ok := parseHeadReq(msg.Payload)
-		if !ok || !req.valid() {
-			continue
+		switch msg.Type {
+		case msgHeadReq:
+			if req, ok := parseHeadReq(msg.Payload); ok && req.valid() {
+				s.submit(msg.From, req)
+			}
+		case msgCursor:
+			if c, ok := parseCursor(msg.Payload); ok {
+				s.noteCursor(msg.From, c)
+			}
 		}
-		s.submit(msg.From, req)
 	}
+}
+
+// noteCursor records party from's announcement. An entry only grows: a
+// nonfaulty party's cursor never moves back, and a faulty one gains
+// nothing by announcing less than it did before.
+func (s *Server) noteCursor(from, cursor int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cursor <= s.cursors[from] {
+		return
+	}
+	s.cursors[from] = cursor
+	close(s.reported)
+	s.reported = make(chan struct{})
+}
+
+// Held returns the largest cursor that at least rank parties have
+// announced reaching (0 when fewer have announced anything); rank must be
+// in [1, n]. With at most t faulty parties, slots below Held(r) are in the
+// stores of at least r−t nonfaulty ones.
+func (s *Server) Held(rank int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	held := 0
+	for _, c := range s.cursors {
+		if c <= held {
+			continue
+		}
+		reached := 0
+		for _, other := range s.cursors {
+			if other >= c {
+				reached++
+			}
+		}
+		if reached >= rank {
+			held = c
+		}
+	}
+	return held
+}
+
+// Reported returns a channel closed the next time some party's announced
+// cursor grows.
+func (s *Server) Reported() <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.reported
 }
 
 // submit parks a head request, then immediately retries it — parking
@@ -224,7 +320,7 @@ func serveHeads(ctx context.Context, env *runtime.Env, session string, s *server
 // until a later (possibly never-coming) advance. A duplicate answer from
 // the answerLoop racing this path is harmless: heads are idempotent and
 // the client tracks one head per sender.
-func (s *server) submit(from int, req headReq) {
+func (s *Server) submit(from int, req headReq) {
 	s.mu.Lock()
 	s.pending[from] = req
 	s.mu.Unlock()
@@ -237,11 +333,16 @@ func (s *server) submit(from int, req headReq) {
 	}
 }
 
-// answerLoop retries pending head requests whenever the store's cursor
-// advances.
-func (s *server) answerLoop(ctx context.Context, done <-chan struct{}) {
+// answerLoop runs whenever the store's cursor advances: it announces the
+// cursor when it crossed a stride boundary and retries pending head
+// requests.
+func (s *Server) answerLoop(ctx context.Context, done <-chan struct{}) {
 	for {
 		advanced := s.store.Advanced()
+		if next := s.store.Next(); next/cursorStride > s.announced/cursorStride {
+			s.announced = next
+			s.env.SendAll(s.headSess, msgCursor, encodeCursor(next))
+		}
 		s.mu.Lock()
 		reqs := make(map[int]headReq, len(s.pending))
 		for from, req := range s.pending {
@@ -270,7 +371,7 @@ func (s *server) answerLoop(ctx context.Context, done <-chan struct{}) {
 // tryAnswer answers a head request if the store already covers it. Chunk
 // content digests computed for the answer are registered for the pull
 // service.
-func (s *server) tryAnswer(from int, req headReq) bool {
+func (s *Server) tryAnswer(from int, req headReq) bool {
 	if s.store.Next() < req.hi {
 		return false
 	}
@@ -302,7 +403,7 @@ func (s *server) tryAnswer(from int, req headReq) bool {
 
 // lookup resolves a chunk content digest for the pull service by
 // re-encoding the registered range from the store.
-func (s *server) lookup(d [sha256.Size]byte) ([]byte, bool) {
+func (s *Server) lookup(d [sha256.Size]byte) ([]byte, bool) {
 	s.mu.Lock()
 	r, ok := s.ranges[d]
 	s.mu.Unlock()
@@ -318,7 +419,7 @@ func (s *server) lookup(d [sha256.Size]byte) ([]byte, bool) {
 }
 
 // register records a content digest → range mapping with FIFO eviction.
-func (s *server) register(d [sha256.Size]byte, r chunkRange) {
+func (s *Server) register(d [sha256.Size]byte, r chunkRange) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.ranges[d]; ok {

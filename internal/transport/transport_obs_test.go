@@ -37,10 +37,17 @@ func TestInstrumentedDelivery(t *testing.T) {
 	}
 
 	// Sender side: every frame eventually flushed to peer 1; at least one
-	// dial and one flush batch.
-	framesOut, ok := regs[0].Snapshot("transport_frames_out_total")
-	if !ok || framesOut["1"] != total {
-		t.Fatalf("frames_out = %v (ok=%v), want %d to peer 1", framesOut, ok, total)
+	// dial and one flush batch. The writer counts a batch after its Flush
+	// returns, which can be after the receiver has read it: poll.
+	var framesOut map[string]float64
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		var ok bool
+		if framesOut, ok = regs[0].Snapshot("transport_frames_out_total"); ok && framesOut["1"] == total {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("frames_out = %v (ok=%v), want %d to peer 1", framesOut, ok, total)
+		}
 	}
 	if dials, _ := regs[0].Snapshot("transport_dials_total"); dials[""] < 1 {
 		t.Fatalf("dials = %v", dials)

@@ -72,7 +72,10 @@ func FlipValue(ctx, helperCtx context.Context, env *runtime.Env, session string,
 		d := d
 		senv := env.Fork(shareSess(d))
 		go func() {
-			secret := field.Random(senv.Rand)
+			var secret field.Elem // only the dealer's value is shared
+			if d == env.ID {
+				secret = field.Random(senv.Rand)
+			}
 			sh, err := svss.RunShare(helperCtx, senv, shareSess(d), d, secret)
 			if err != nil {
 				shareErr <- err
