@@ -327,9 +327,9 @@ func (c *Cluster) BinaryAgreement(session string, inputs map[int]byte) (byte, er
 
 // ReliableBroadcast runs one A-Cast from sender with the given value and
 // returns the commonly delivered value. Values of at least
-// rbc.DefaultCodedThreshold bytes are dispersed erasure-coded (fragments +
-// digest instead of full-value echoes); the delivered bytes are identical
-// either way.
+// rbc.DefaultCodedThreshold bytes are dispersed by digest (the value
+// travels once, in INIT; echoes and READYs carry its SHA-256); the
+// delivered bytes are identical either way.
 func (c *Cluster) ReliableBroadcast(session string, sender int, value []byte) ([]byte, error) {
 	res := c.run(func(ctx context.Context, env *runtime.Env) (interface{}, error) {
 		var in []byte

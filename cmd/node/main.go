@@ -24,11 +24,12 @@
 // batches after one confirmation round when every A-Cast delivers
 // everywhere and falls back to CommonSubset over BCA agreement otherwise,
 // and batches of at least rbc.DefaultCodedThreshold bytes are dispersed
-// erasure-coded. That is the one configuration the binary starts; the
-// slower slot paths exist as oracles for internal/experiments and the acs
-// tests, not as deployment switches. The node prints the replicated ledger
-// plus its SHA-256 digest — identical at every party, which is the whole
-// point. All processes must use the same -slots, -width and -shards.
+// by digest (sent once, echoed as a SHA-256). That is the one
+// configuration the binary starts; the slower slot paths exist as oracles
+// for internal/experiments and the acs tests, not as deployment switches.
+// The node prints the replicated ledger plus its SHA-256 digest —
+// identical at every party, which is the whole point. All processes must
+// use the same -slots, -width and -shards.
 //
 // Three independent parameters shape the run and combine freely:
 //

@@ -108,9 +108,9 @@ func TestE2EAtomicBroadcastLedger(t *testing.T) {
 	}
 }
 
-// TestE2ECodedLedgerOverTCP drives erasure-coded dispersal over real
-// sockets: batch prefixes longer than rbc.DefaultCodedThreshold force
-// every slot A-Cast coded.
+// TestE2ECodedLedgerOverTCP drives digest dispersal over real sockets:
+// batch prefixes longer than rbc.DefaultCodedThreshold force every slot
+// A-Cast onto the above-threshold ("coded") path.
 func TestE2ECodedLedgerOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns TCP listeners")

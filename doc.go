@@ -40,15 +40,17 @@
 //     or Cluster.Submit) are parameters that combine, not modes that
 //     exclude each other — always in the fastest sound configuration.
 //     Batches of at least rbc.DefaultCodedThreshold bytes
-//     are A-Cast via erasure-coded dispersal (internal/rbc.RunCoded):
-//     Reed–Solomon fragments + payload digest instead of full-value
-//     echoes, cutting per-party broadcast bandwidth from O(n·|m|) to
-//     O(|m| + n·digest) — measured 2.4–3.1× fewer bytes per party at
-//     1–64 KiB batches (experiment E12) — while up to t Byzantine
-//     parties echoing corrupted fragments are absorbed by
-//     error-corrected reconstruction (internal/rs). Dispersal is chosen
-//     by batch size alone; classic echo for large values is an oracle the
-//     experiments and acs tests configure (rbc.Options.CodedThreshold).
+//     are A-Cast by digest dispersal (internal/rbc.RunCoded; "coded" is
+//     the path's historical name): the batch crosses each link once, in
+//     the sender's INIT, and ECHO and READY carry its SHA-256 instead of
+//     the bytes, cutting per-party broadcast bandwidth from O(n·|m|) to
+//     O(|m| + n·digest) — measured 4.5–8.9× fewer bytes per party at
+//     1–64 KiB batches (experiment E12). A party whose READY quorum
+//     completes before the batch reaches it pulls it from t+1 parties
+//     that echoed the digest, one of which is nonfaulty and holds it.
+//     Dispersal is chosen by batch size alone; classic echo for large
+//     values is an oracle the experiments and acs tests configure
+//     (rbc.Options.CodedThreshold).
 //
 //   - An agreement core with three stackable optimizations (internal/acs,
 //     internal/ba, internal/core), none load-bearing for safety. Every

@@ -36,10 +36,10 @@
 // needs the peers' cursors and is the driver's job (internal/shard).
 //
 // Slot broadcasts run through rbc.RunCoded: batches at or above the
-// configured coded threshold (core.Config.RBC) are dispersed as
-// Reed–Solomon fragments + digest instead of full-value echoes, cutting
-// per-party broadcast bandwidth to O(|m| + n·digest) per slot (experiment
-// E12 measures the reduction; set RBC.CodedThreshold < 0 for classic echo).
+// configured threshold (core.Config.RBC) cross each link once, in INIT, and
+// are echoed by SHA-256 digest instead of by value, cutting per-party
+// broadcast bandwidth to O(|m| + n·digest) per slot (experiment E12
+// measures the reduction; set RBC.CodedThreshold < 0 for classic echo).
 package acs
 
 import (

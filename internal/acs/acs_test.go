@@ -331,19 +331,20 @@ func TestCodedLedgerMatchesClassic(t *testing.T) {
 	}
 }
 
-// TestCodedLedgerWrongFragmentAdversary mounts the wrong-fragment attack
-// inside a full ledger run: the Byzantine party echoes corrupted fragments
-// (correct digests) on every slot broadcast instead of participating.
-// Error-corrected reconstruction must deliver every honest batch intact.
-func TestCodedLedgerWrongFragmentAdversary(t *testing.T) {
+// TestCodedLedgerVouchingAdversary mounts the lying-holder attack inside a
+// full ledger run: on every slot broadcast the Byzantine party, instead of
+// participating, echoes and READYs the digest without keeping the value
+// and answers pulls with other bytes. Every honest batch must commit
+// intact.
+func TestCodedLedgerVouchingAdversary(t *testing.T) {
 	const n, tf, slots, size = 4, 1, 2, 4096
 	c := testkit.New(n, tf, testkit.WithSeed(31), testkit.WithTimeout(90*time.Second))
 	defer c.Close()
-	sess := "abc/codedwf"
+	sess := "abc/codedvouch"
 	for k := 0; k < slots; k++ {
 		for j := 0; j < n; j++ {
 			rbcSess := runtime.SubSession(runtime.SubSession(sess, "slot", k), "rbc", j)
-			go func() { _ = rbc.EchoCorruptedFragment(c.Ctx, c.Envs[3], rbcSess) }()
+			go func() { _ = rbc.VouchWithoutValue(c.Ctx, c.Envs[3], rbcSess) }()
 		}
 	}
 	res := c.Run(c.Honest(3), func(ctx context.Context, env *runtime.Env) (interface{}, error) {

@@ -36,6 +36,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -62,11 +63,35 @@ func allParties(n int) []int {
 }
 
 // fastDigest fingerprints the slot output the fast path would commit: the
-// canonical encoding of the full contributor set's entries. Two nonfaulty
-// parties with all n deliveries always compute the same digest (A-Cast
-// consistency), so honest FAST messages can only agree.
+// SHA-256 of the canonical encoding of the full contributor set's entries,
+// Digest(commitEntries(slot, allParties(n), got)). Two nonfaulty parties
+// with all n deliveries always compute the same digest (A-Cast
+// consistency), so honest FAST messages can only agree. It streams
+// Encode's bytes into the hash instead of building them: the encoding is a
+// second copy of every batch in the slot.
 func fastDigest(slot int, n int, got map[int][]byte) [sha256.Size]byte {
-	return sha256.Sum256(Encode(commitEntries(slot, allParties(n), got)))
+	entries := 0
+	for j := 0; j < n; j++ {
+		if len(got[j]) > 0 {
+			entries++
+		}
+	}
+	h := sha256.New()
+	var hdr [3 * binary.MaxVarintLen64]byte
+	h.Write(binary.AppendUvarint(hdr[:0], uint64(entries)))
+	for j := 0; j < n; j++ {
+		if len(got[j]) == 0 {
+			continue
+		}
+		b := binary.AppendUvarint(hdr[:0], uint64(slot))
+		b = binary.AppendUvarint(b, uint64(j))
+		b = binary.AppendUvarint(b, uint64(len(got[j])))
+		h.Write(b)
+		h.Write(got[j])
+	}
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	return d
 }
 
 type fpMsg struct {

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -385,6 +386,34 @@ func TestRunSlotWrapsCommonSubsetErrors(t *testing.T) {
 		var be *commonsubset.BAError
 		if !errors.As(r.Err, &be) {
 			t.Fatalf("party %d: instance context missing: %v", id, r.Err)
+		}
+	}
+}
+
+// TestFastDigestMatchesEncode pins the streamed FAST fingerprint to the
+// SHA-256 of the canonical encoding it no longer builds, on random slots —
+// empty and missing batches, large slot numbers, n above one varint byte of
+// parties — so FAST stays wire-compatible with every party that hashes
+// Encode's bytes.
+func TestFastDigestMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(200)
+		slot := rng.Intn(1 << uint(1+rng.Intn(40)))
+		got := make(map[int][]byte)
+		for j := 0; j < n; j++ {
+			switch rng.Intn(4) {
+			case 0: // no delivery recorded
+			case 1:
+				got[j] = []byte{}
+			default:
+				got[j] = make([]byte, 1+rng.Intn(300))
+				rng.Read(got[j])
+			}
+		}
+		want := sha256.Sum256(Encode(commitEntries(slot, allParties(n), got)))
+		if fastDigest(slot, n, got) != want {
+			t.Fatalf("trial %d (n=%d, slot=%d): streamed digest differs from sha256(Encode(...))", trial, n, slot)
 		}
 	}
 }

@@ -61,8 +61,8 @@ type Config struct {
 	SVSS svss.Options
 	// BA configures the binary agreement instances.
 	BA ba.Options
-	// RBC configures reliable-broadcast dispersal (the erasure-coded
-	// fast-path threshold used by the atomic-broadcast slots).
+	// RBC configures reliable-broadcast dispersal: the batch size from
+	// which the atomic-broadcast slots echo a digest instead of the bytes.
 	RBC rbc.Options
 	// FastPath enables the unanimous-slot fast path in internal/acs: when
 	// all n A-Casts of a slot deliver before agreement starts, the slot

@@ -13,24 +13,26 @@ import (
 	"asyncft/internal/testkit"
 )
 
-// E12CodedBroadcast measures erasure-coded A-Cast dispersal against
-// classic full-value echo inside E11's pipelined atomic-broadcast ledger
-// (n = 4, t = 1, latency-bound network.Delay links). For each batch size
-// |m| ∈ {1 KiB, 16 KiB, 64 KiB} the same workload runs twice from the same
-// seed — classic (rbc full-value INIT/ECHO/READY, O(n²·|m|) per broadcast)
-// and coded (Reed–Solomon fragments + digest, O(n²·|m|/(t+1))) — and the
+// E12CodedBroadcast measures A-Cast's digest dispersal against classic
+// full-value echo inside E11's pipelined atomic-broadcast ledger (n = 4,
+// t = 1, latency-bound network.Delay links). For each batch size |m| ∈
+// {1 KiB, 16 KiB, 64 KiB} the same workload runs twice from the same seed —
+// classic (rbc full-value INIT/ECHO/READY, (2n+1)·n·|m| per broadcast,
+// self-sends included as the router counts them) and coded (the value once
+// in INIT, SHA-256 digests in ECHO and READY, n·|m| + O(n²·33)) — and the
 // router's per-link byte counters report the measured per-party broadcast
 // bandwidth. Every run re-verifies replication (byte-identical ledgers at
 // all parties) and content (every committed batch bit-identical to its
 // proposer's input), because a bandwidth number from a corrupted or forked
 // ledger would be meaningless. The headline is the per-party bandwidth
-// reduction at 64 KiB, which the coding-theory estimate puts near
-// 36/(20·8/7/(t+1)) ≈ 3.1× for t = 1.
+// reduction at 64 KiB, which the byte count above puts near 2n+1 = 9× at
+// n = 4; the run also checks that moving fewer bytes did not cost wall
+// clock there (the Reed–Solomon fragment path it replaced ran at 0.82×).
 func E12CodedBroadcast(scale Scale) (*Table, error) {
 	t := &Table{
 		ID:      "E12",
-		Title:   "coded vs classic A-Cast dispersal in the pipelined ledger (n=4, t=1, 0.2–1ms link delay)",
-		Claim:   "erasure-coded dispersal (fragments + digest) cuts measured per-party broadcast bytes ≥2x vs classic echo at |m| = 64KiB, with bit-identical ledgers",
+		Title:   "digest vs classic A-Cast dispersal in the pipelined ledger (n=4, t=1, 0.2–1ms link delay)",
+		Claim:   "digest dispersal (value once in INIT, SHA-256 in ECHO/READY) cuts measured per-party broadcast bytes ≥6x vs classic echo at |m| = 64KiB without losing wall clock, with bit-identical ledgers",
 		Columns: []string{"|m|", "mode", "bytes/party", "wall", "reduction", "wall speedup"},
 	}
 	cfg := core.Config{K: 1, Eps: 0.1, InnerCoin: core.InnerCoinLocal}
@@ -95,7 +97,7 @@ func E12CodedBroadcast(scale Scale) (*Table, error) {
 		return wall, float64(sent) / float64(n), nil
 	}
 
-	headline := 0.0
+	headline, headlineSpeedup := 0.0, 0.0
 	seed := int64(14000)
 	for _, size := range sizes {
 		seed++
@@ -110,7 +112,7 @@ func E12CodedBroadcast(scale Scale) (*Table, error) {
 		reduction := classicBytes / codedBytes
 		speedup := classicWall.Seconds() / codedWall.Seconds()
 		if size == sizes[len(sizes)-1] {
-			headline = reduction
+			headline, headlineSpeedup = reduction, speedup
 		}
 		kib := fmt.Sprintf("%dKiB", size>>10)
 		t.Rows = append(t.Rows,
@@ -120,8 +122,14 @@ func E12CodedBroadcast(scale Scale) (*Table, error) {
 	}
 	t.Notes = fmt.Sprintf("%d pipelined slots per run; bytes/party = mean over the router's per-link byte counters; every run verified byte-identical, content-exact ledgers at all parties", slots)
 	t.Headline, t.HeadlineName = headline, "per-party bandwidth reduction at 64KiB"
-	if headline < 2 {
-		return t, fmt.Errorf("E12: per-party bandwidth reduction %.2fx < 2x at 64KiB", headline)
+	if headline < 6 {
+		return t, fmt.Errorf("E12: per-party bandwidth reduction %.2fx < 6x at 64KiB", headline)
+	}
+	// Two single runs of tens of milliseconds: 0.9 leaves room for timing
+	// noise (smoke-scale runs spread 1.05–2.0×) and still refuses what the
+	// fragment path measured, 0.82×.
+	if headlineSpeedup < 0.9 {
+		return t, fmt.Errorf("E12: digest dispersal ran %.2fx the classic wall clock at 64KiB", 1/headlineSpeedup)
 	}
 	return t, nil
 }

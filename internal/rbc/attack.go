@@ -4,47 +4,36 @@ import (
 	"context"
 	"crypto/sha256"
 
-	"asyncft/internal/field"
-	"asyncft/internal/rs"
 	"asyncft/internal/runtime"
-	"asyncft/internal/wire"
 )
 
-// EchoCorruptedFragment is a Byzantine behavior for adversarial tests: it
-// waits for the coded INIT of session, perturbs every element of the
-// received fragment, and echoes the corrupted fragment to all parties
-// under the correct digest — the wrong-fragment attack that coded
-// reconstruction (rs.DecodeIn error correction plus the digest check) must
-// absorb. It returns once the corrupted echo is sent, or with the context
-// error if no coded INIT arrives.
-func EchoCorruptedFragment(ctx context.Context, env *runtime.Env, session string) error {
-	coder, err := rs.NewCoder(env.N, env.T+1)
-	if err != nil {
-		return err
-	}
+// VouchWithoutValue is a Byzantine behavior for adversarial tests of digest
+// dispersal: the party vouches for a value it never keeps. It sends CECHO
+// and CREADY for the first digest the session shows it — the sender's
+// CINIT, or any peer's CECHO or CREADY — so honest parties count it among
+// the holders they may pull from, and answers every CPULL with bytes of
+// another digest. Totality must survive it: of any t+1 parties that echoed
+// a digest one is nonfaulty and serves the value. It runs until ctx ends.
+func VouchWithoutValue(ctx context.Context, env *runtime.Env, session string) error {
+	vouched := false
 	for {
 		msg, err := env.Recv(ctx, session)
 		if err != nil {
 			return err
 		}
-		if msg.Type != msgCInit {
-			continue
+		var body []byte
+		switch msg.Type {
+		case msgCInit:
+			body = appendDigest(nil, sha256.Sum256(msg.Payload))
+		case msgCEcho, msgCReady:
+			body = msg.Payload
+		case msgCPull:
+			env.Send(msg.From, session, msgCFull, []byte("not the value that was pulled"))
 		}
-		r := wire.NewReader(msg.Payload)
-		d := r.BytesField(sha256.Size)
-		total := r.Int()
-		frag := r.Elems(coder.FragmentLen(total))
-		if r.Err() != nil || len(d) != sha256.Size {
-			continue
+		if body != nil && !vouched {
+			vouched = true
+			env.SendAll(session, msgCEcho, body)
+			env.SendAll(session, msgCReady, body)
 		}
-		for i := range frag {
-			frag[i] = field.Add(frag[i], field.New(uint64(i)+1))
-		}
-		var w wire.Writer
-		w.BytesField(d)
-		w.Int(total)
-		w.Elems(frag)
-		env.SendAll(session, msgCEcho, w.Bytes())
-		return nil
 	}
 }

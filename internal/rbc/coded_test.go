@@ -9,9 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"asyncft/internal/field"
 	"asyncft/internal/network"
-	"asyncft/internal/rs"
+	"asyncft/internal/obs"
 	"asyncft/internal/runtime"
 	"asyncft/internal/testkit"
 	"asyncft/internal/wire"
@@ -26,6 +25,15 @@ func runCoded(t *testing.T, c *testkit.Cluster, sess string, sender int, value [
 		}
 		return RunCoded(ctx, env, sess, sender, in, opts)
 	})
+}
+
+// lastT lists the t highest party ids, the ones these tests make Byzantine.
+func lastT(c *testkit.Cluster) []int {
+	var ids []int
+	for id := c.N - c.T; id < c.N; id++ {
+		ids = append(ids, id)
+	}
+	return ids
 }
 
 func TestCodedBroadcastAllHonest(t *testing.T) {
@@ -48,7 +56,7 @@ func TestCodedBroadcastAllHonest(t *testing.T) {
 }
 
 // TestCodedMatchesClassicProperty is the bit-identical cross-check of the
-// two dispersal flavors: for random payload sizes straddling the coded
+// two dispersal flavors: for random payload sizes straddling the digest
 // threshold and random/delay schedules, every party runs one classic and
 // one coded instance of the same payload and must deliver identical bytes
 // from both.
@@ -120,35 +128,41 @@ func TestCodedBroadcastWithCrashedReceiver(t *testing.T) {
 	}
 }
 
-func TestCodedWrongFragmentAdversary(t *testing.T) {
+// TestCodedVouchingAdversary: t parties vouch for the digest without ever
+// holding the value (VouchWithoutValue) — they echo and READY it, and answer
+// pulls with other bytes. The default reordering schedule delays some
+// CINITs past the READY quorum, so nonfaulty parties do pull, and some of
+// those pulls land on the liars; every nonfaulty party still outputs the
+// sender's bytes.
+func TestCodedVouchingAdversary(t *testing.T) {
 	for _, tc := range []struct{ n, tf int }{{4, 1}, {7, 2}} {
 		tc := tc
 		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
-			c := testkit.New(tc.n, tc.tf)
-			defer c.Close()
-			sess := "rbc/wf"
-			// The top tf parties echo corrupted fragments with the correct digest.
-			bad := make([]int, 0, tc.tf)
-			for id := tc.n - tc.tf; id < tc.n; id++ {
-				bad = append(bad, id)
-				id := id
-				go func() { _ = EchoCorruptedFragment(c.Ctx, c.Envs[id], sess) }()
-			}
-			value := bytes.Repeat([]byte("fragile payload "), 1024) // 16 KiB
-			res := runCoded(t, c, sess, 0, value, c.Honest(bad...), Options{CodedThreshold: 1})
-			got, err := testkit.AgreeBytes(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, value) {
-				t.Fatal("wrong-fragment adversary corrupted the reconstruction")
+			for seed := int64(0); seed < 8; seed++ {
+				c := testkit.New(tc.n, tc.tf, testkit.WithSeed(seed))
+				sess := "rbc/vouch"
+				bad := lastT(c)
+				for _, id := range bad {
+					id := id
+					go func() { _ = VouchWithoutValue(c.Ctx, c.Envs[id], sess) }()
+				}
+				value := bytes.Repeat([]byte("vouched payload "), 1024) // 16 KiB
+				res := runCoded(t, c, sess, 0, value, c.Honest(bad...), Options{CodedThreshold: 1})
+				got, err := testkit.AgreeBytes(res)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if !bytes.Equal(got, value) {
+					t.Fatalf("seed %d: a vouching adversary changed the output", seed)
+				}
+				c.Close()
 			}
 		})
 	}
 }
 
-// TestCodedGarbageMessagesIgnored floods a coded session with malformed
-// coded frames before the honest broadcast; honest parties must be
+// TestCodedGarbageMessagesIgnored floods a session with malformed digest
+// frames before the honest broadcast; honest parties must be
 // unaffected (and must not panic).
 func TestCodedGarbageMessagesIgnored(t *testing.T) {
 	c := testkit.New(4, 1)
@@ -159,13 +173,13 @@ func TestCodedGarbageMessagesIgnored(t *testing.T) {
 		{1, 2, 3},
 		bytes.Repeat([]byte{0xff}, 100),
 	}
-	// A digest-framed message claiming an absurd total and a short fragment.
+	// A well-formed digest with trailing bytes, and one a byte short.
 	var w wire.Writer
 	w.BytesField(make([]byte, sha256.Size))
 	w.Int(MaxValueSize + 5)
-	garbage = append(garbage, w.Bytes())
+	garbage = append(garbage, w.Bytes(), make([]byte, sha256.Size))
 	for _, g := range garbage {
-		for _, typ := range []uint8{msgCInit, msgCEcho, msgCReady} {
+		for _, typ := range []uint8{msgCInit, msgCEcho, msgCReady, msgCPull, msgCFull} {
 			for to := 0; to < 4; to++ {
 				c.Router.Send(wire.Envelope{From: 1, To: to, Session: sess, Type: typ, Payload: g})
 			}
@@ -182,138 +196,187 @@ func TestCodedGarbageMessagesIgnored(t *testing.T) {
 	}
 }
 
-// TestCodedThresholdSelectsFlavor pins the sender's dispatch rule: below
-// the threshold the wire carries classic INIT, at or above it coded CINIT.
+// TestCodedThresholdSelectsFlavor pins the sender's dispatch rule at the
+// boundary: one byte below the threshold (and for the empty value) the
+// wire carries the classic INIT and every party counts a classic delivery,
+// at the threshold CINIT and a coded one. Which bytes each flavor moves is
+// TestCodedBroadcastByteBudget's subject.
 func TestCodedThresholdSelectsFlavor(t *testing.T) {
-	small := []byte("tiny")
-	big := bytes.Repeat([]byte{1}, DefaultCodedThreshold)
 	for _, tc := range []struct {
-		value []byte
-		coded bool
-	}{{small, false}, {big, true}} {
+		size int
+		mode string
+	}{{0, "classic"}, {DefaultCodedThreshold - 1, "classic"}, {DefaultCodedThreshold, "coded"}} {
 		c := testkit.New(4, 1)
-		sess := "rbc/thr"
-		res := runCoded(t, c, sess, 0, tc.value, c.Honest(), Options{})
-		if _, err := testkit.AgreeBytes(res); err != nil {
-			t.Fatal(err)
+		regs := make([]*obs.Registry, c.N)
+		for id := range regs {
+			regs[id] = obs.NewRegistry()
 		}
-		// Inspect traffic: coded runs must carry no classic INIT/ECHO, and
-		// classic runs no coded frames.
-		m := c.Router.Metrics()
-		c.Close()
-		if m.Messages == 0 {
-			t.Fatal("no traffic recorded")
-		}
-		// Session strings are uniform here, so byte volume identifies the
-		// flavor: coded echoes are ~|m|·8/7/(t+1) + digest per message, and a
-		// classic 512 B run would move ≥ n²·|m| echo bytes.
-		var total uint64
-		for _, l := range m.ByLink {
-			total += l.Bytes
-		}
-		classicEchoFloor := uint64(16 * len(tc.value))
-		if tc.coded && total > classicEchoFloor {
-			t.Fatalf("coded run moved %d bytes, expected well under the classic echo floor %d", total, classicEchoFloor)
-		}
-		if !tc.coded && total < uint64(16*len(tc.value)) {
-			t.Fatalf("classic run moved only %d bytes — did it go coded?", total)
-		}
-	}
-}
-
-// TestCodedInconsistentDispersalTotality mounts the Byzantine-sender
-// attack on coded dispersal: the sender serves a garbage fragment (under
-// the correct digest) to the lowest-indexed honest party and hands its own
-// correct fragment to exactly one honest party, so that party alone can
-// error-correct and deliver while the others' pools are undecodable.
-// Totality must still hold — the stuck parties pull the value from the
-// delivered one and every honest party outputs the same bytes.
-func TestCodedInconsistentDispersalTotality(t *testing.T) {
-	const n, tf, sender = 4, 1, 3
-	for seed := int64(0); seed < 5; seed++ {
-		c := testkit.New(n, tf, testkit.WithSeed(seed))
-		sess := "rbc/incons"
-		value := bytes.Repeat([]byte("inconsistent dispersal "), 256) // ~5.7 KiB
-		coder, err := rs.NewCoder(n, tf+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frags := coder.Encode(value)
-		d := sha256.Sum256(value)
-		garbage := append([]field.Elem(nil), frags[0]...)
-		for i := range garbage {
-			garbage[i] = field.Add(garbage[i], 1)
-		}
-		env := c.Envs[sender]
-		frame := func(f []field.Elem) []byte {
-			var w wire.Writer
-			w.BytesField(d[:])
-			w.Int(len(value))
-			w.Elems(f)
-			return w.Bytes()
-		}
-		// CINIT: garbage to party 0 (poisoning the clean-decode subset at
-		// everyone), correct fragments to parties 1 and 2.
-		env.Send(0, sess, msgCInit, frame(garbage))
-		env.Send(1, sess, msgCInit, frame(frags[1]))
-		env.Send(2, sess, msgCInit, frame(frags[2]))
-		// The sender's own correct fragment goes to party 2 only: party 2
-		// gets 4 fragments (1 wrong — Berlekamp–Welch corrects), parties 0
-		// and 1 get 3 fragments (1 wrong — beyond their error budget).
-		env.Send(2, sess, msgCEcho, frame(frags[sender]))
-
-		res := c.Run([]int{0, 1, 2}, func(ctx context.Context, env *runtime.Env) (interface{}, error) {
-			return RunCoded(ctx, env, sess, sender, nil, Options{})
+		value := bytes.Repeat([]byte{1}, tc.size)
+		res := c.Run(c.Honest(), func(ctx context.Context, env *runtime.Env) (interface{}, error) {
+			var in []byte
+			if env.ID == 0 {
+				in = value
+			}
+			return RunCoded(ctx, env, "rbc/thr", 0, in, Options{Metrics: regs[env.ID]})
 		})
 		got, err := testkit.AgreeBytes(res)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatal(err)
 		}
 		if !bytes.Equal(got, value) {
-			t.Fatalf("seed %d: delivered value differs from the dispersed one", seed)
+			t.Fatalf("|m|=%d: output differs from the input", tc.size)
+		}
+		for id, reg := range regs {
+			modes, _ := reg.Snapshot("rbc_deliveries_total")
+			if modes[tc.mode] != 1 || modes["classic"]+modes["coded"] != 1 {
+				t.Fatalf("|m|=%d: party %d counted deliveries %v, want one %s", tc.size, id, modes, tc.mode)
+			}
 		}
 		c.Close()
 	}
 }
 
-// TestCodedSubsetDecodeSurvivesOneGarbageInit: garbage served to a
-// non-lowest party leaves the clean-decode subset intact — everyone
-// delivers without error correction or pulls.
-func TestCodedSubsetDecodeSurvivesOneGarbageInit(t *testing.T) {
-	const n, tf, sender = 4, 1, 3
-	c := testkit.New(n, tf)
+// partialInit plays a Byzantine sender that gives the value to the first
+// t+1 nonfaulty parties only: CINIT to parties 0..t, and its digest echoed
+// and READY'd to everyone by every Byzantine party, which is what lets the
+// t+1 holders' echoes reach the quorum. It returns the Byzantine ids.
+func partialInit(c *testkit.Cluster, sess string, value []byte) []int {
+	body := digestBodyOf(value)
+	bad := lastT(c)
+	sender := c.N - 1
+	for to := 0; to <= c.T; to++ {
+		c.Envs[sender].Send(to, sess, msgCInit, value)
+	}
+	for _, id := range bad {
+		c.Envs[id].SendAll(sess, msgCEcho, body)
+		c.Envs[id].SendAll(sess, msgCReady, body)
+	}
+	return bad
+}
+
+// TestCodedPartialInitTotality: the sender gives INIT to exactly t+1
+// nonfaulty parties. Everyone outputs; the t nonfaulty parties left out
+// pull once each and are answered by a holder, although the Byzantine
+// parties they may ask first stay silent (the sender) or answer with bytes
+// of another digest (at n = 7, party 5).
+func TestCodedPartialInitTotality(t *testing.T) {
+	for _, tc := range []struct{ n, tf int }{{4, 1}, {7, 2}} {
+		tc := tc
+		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
+			for seed := int64(0); seed < 8; seed++ {
+				c := testkit.New(tc.n, tc.tf, testkit.WithSeed(seed))
+				sess := "rbc/partial"
+				value := bytes.Repeat([]byte("for t+1 parties only "), 300) // ~6 KiB
+				bad := partialInit(c, sess, value)
+				for _, id := range bad[:len(bad)-1] {
+					id := id
+					go func() { _ = VouchWithoutValue(c.Ctx, c.Envs[id], sess) }()
+				}
+				regs := make([]*obs.Registry, tc.n)
+				for id := range regs {
+					regs[id] = obs.NewRegistry()
+				}
+				res := c.Run(c.Honest(bad...), func(ctx context.Context, env *runtime.Env) (interface{}, error) {
+					return RunCoded(ctx, env, sess, tc.n-1, nil, Options{Metrics: regs[env.ID]})
+				})
+				got, err := testkit.AgreeBytes(res)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if !bytes.Equal(got, value) {
+					t.Fatalf("seed %d: output differs from the dispersed value", seed)
+				}
+				served := 0.0
+				for _, id := range c.Honest(bad...) {
+					want := 0.0
+					if id > tc.tf {
+						want = 1 // left out of INIT
+					}
+					if pulls := regs[id].Total("rbc_pulls_sent_total"); pulls != want {
+						t.Fatalf("seed %d: party %d pulled %v times, want %v", seed, id, pulls, want)
+					}
+					if got := regs[id].Total("rbc_deliveries_total"); got != 1 {
+						t.Fatalf("seed %d: party %d counted %v deliveries", seed, id, got)
+					}
+					served += regs[id].Total("rbc_pulls_served_total")
+				}
+				if served < float64(tc.tf) {
+					t.Fatalf("seed %d: %v pulls served, want at least one per left-out party (%d)", seed, served, tc.tf)
+				}
+				c.Close()
+			}
+		})
+	}
+}
+
+// TestCodedEquivocatingSenderAgreement: the sender disperses two values
+// under two digests — v0 to all nonfaulty parties but one, v1 to that one —
+// echoes v0's digest and READYs both. No two nonfaulty outputs differ, and
+// the party that was shown v1 outputs v0 like everyone else, having pulled
+// it. (The sender's echo has to pick a side: a peer's ECHO counts once per
+// instance, so echoing both digests only makes the schedule choose.)
+func TestCodedEquivocatingSenderAgreement(t *testing.T) {
+	for _, tc := range []struct{ n, tf int }{{4, 1}, {7, 2}} {
+		for seed := int64(0); seed < 10; seed++ {
+			c := testkit.New(tc.n, tc.tf, testkit.WithSeed(seed))
+			sess := "rbc/ceq"
+			v0 := bytes.Repeat([]byte{0xa0}, 2000)
+			v1 := bytes.Repeat([]byte{0xa1}, 2000)
+			bad := lastT(c)
+			sender, odd := tc.n-1, tc.n-tc.tf-1
+			for to := 0; to < odd; to++ {
+				c.Envs[sender].Send(to, sess, msgCInit, v0)
+			}
+			c.Envs[sender].Send(odd, sess, msgCInit, v1)
+			for _, id := range bad {
+				c.Envs[id].SendAll(sess, msgCEcho, digestBodyOf(v0))
+				c.Envs[id].SendAll(sess, msgCReady, digestBodyOf(v1))
+				c.Envs[id].SendAll(sess, msgCReady, digestBodyOf(v0))
+			}
+			res := c.Run(c.Honest(bad...), func(ctx context.Context, env *runtime.Env) (interface{}, error) {
+				return RunCoded(ctx, env, sess, sender, nil, Options{})
+			})
+			got, err := testkit.AgreeBytes(res)
+			if err != nil {
+				t.Fatalf("n=%d seed %d: %v", tc.n, seed, err)
+			}
+			if !bytes.Equal(got, v0) {
+				t.Fatalf("n=%d seed %d: output is not the value whose digest reached the echo quorum", tc.n, seed)
+			}
+			c.Close()
+		}
+	}
+}
+
+// TestCodedBroadcastByteBudget is the accounting behind the package's
+// headline: one nonfaulty 64 KiB broadcast at n = 4 moves at most
+// (n−1)·|m| + n²·128 bytes between distinct parties — the value crosses
+// each link once and everything else is digests. FIFO delivery makes it
+// exact: every CINIT is queued before any echo exists, so nobody pulls.
+func TestCodedBroadcastByteBudget(t *testing.T) {
+	const n, tf, size = 4, 1, 64 << 10
+	c := testkit.New(n, tf, testkit.WithPolicy(network.FIFO{}))
 	defer c.Close()
-	sess := "rbc/subset"
-	value := bytes.Repeat([]byte{5}, 3000)
-	coder, err := rs.NewCoder(n, tf+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frags := coder.Encode(value)
-	d := sha256.Sum256(value)
-	garbage := append([]field.Elem(nil), frags[2]...)
-	for i := range garbage {
-		garbage[i] = field.Add(garbage[i], 7)
-	}
-	env := c.Envs[sender]
-	frame := func(f []field.Elem) []byte {
-		var w wire.Writer
-		w.BytesField(d[:])
-		w.Int(len(value))
-		w.Elems(f)
-		return w.Bytes()
-	}
-	env.Send(0, sess, msgCInit, frame(frags[0]))
-	env.Send(1, sess, msgCInit, frame(frags[1]))
-	env.Send(2, sess, msgCInit, frame(garbage))
-	res := c.Run([]int{0, 1, 2}, func(ctx context.Context, env *runtime.Env) (interface{}, error) {
-		return RunCoded(ctx, env, sess, sender, nil, Options{})
-	})
+	value := make([]byte, size)
+	rand.New(rand.NewSource(7)).Read(value)
+	res := runCoded(t, c, "rbc/budget", 0, value, c.Honest(), Options{})
 	got, err := testkit.AgreeBytes(res)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, value) {
-		t.Fatal("delivered value differs from the dispersed one")
+		t.Fatal("output differs from the input")
+	}
+	var offParty uint64
+	for _, l := range c.Router.Metrics().ByLink {
+		if l.From != l.To {
+			offParty += l.Bytes
+		}
+	}
+	if budget := uint64((n-1)*size + n*n*128); offParty > budget {
+		t.Fatalf("one 64 KiB broadcast moved %d bytes between parties, budget %d", offParty, budget)
+	}
+	if offParty < uint64((n-1)*size) {
+		t.Fatalf("%d bytes between parties is less than n−1 copies of the value", offParty)
 	}
 }

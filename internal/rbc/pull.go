@@ -1,18 +1,18 @@
-// pull.go generalizes the CPULL/CFULL retransmission machinery from
-// "per-digest broadcast values inside one A-Cast instance" to a standalone
-// digest-keyed value service: a server answers pull requests for any value
-// it can look up, and a client fetches a value it knows only the SHA-256
-// digest of. internal/statesync uses it to transfer ranged ledger snapshot
-// chunks; the digests come from a t+1 head quorum there, so a Byzantine
-// server can cause at most a digest mismatch and a retry against another
-// peer — never a divergent value.
+// pull.go is a standalone digest-keyed value service, the broadcast's
+// CPULL/CFULL pair lifted out of an A-Cast instance: a server answers pull
+// requests for any value it can look up, and a client fetches a value it
+// knows only the SHA-256 digest of. internal/statesync uses it to transfer
+// ranged ledger snapshot chunks; the digests come from a t+1 head quorum
+// there, so a Byzantine server can cause at most a digest mismatch and a
+// retry against another peer — never a divergent value.
 //
-// Above the coded threshold a server answers with only its own
-// Reed–Solomon fragment of the value (PFRAG) instead of the full bytes
-// (PFULL), so a client pulling from all n parties downloads ~n/(t+1)
-// times the value size instead of n times, and each server uploads only
-// |v|/(t+1). Reconstruction reuses the broadcast path's digest-checked
-// online error correction, so up to t corrupted fragments are tolerated.
+// From Options.CodedThreshold bytes (fragmentThreshold when that is zero)
+// a server answers with only its own Reed–Solomon fragment of the value
+// (PFRAG) instead of the full bytes (PFULL), so a client pulling from all
+// n parties downloads ~n/(t+1) times the value size instead of n times,
+// and each server uploads only |v|/(t+1). Reconstruction is digest-checked
+// online error correction (reconstructPool), so up to t corrupted
+// fragments are tolerated.
 package rbc
 
 import (
@@ -36,6 +36,12 @@ const (
 	msgPFrag uint8 = 3 // response: digest | total length | sender's fragment
 )
 
+// fragmentThreshold is the value size from which ServePulls answers with a
+// fragment when Options.CodedThreshold is zero. It is not the broadcast's
+// DefaultCodedThreshold: a client needs t+1 fragment replies, each with its
+// own framing and 8/7 field packing, so small values are cheaper whole.
+const fragmentThreshold = 512
+
 // pullRetryInterval is how often an unanswered Pull re-broadcasts its
 // request: a server that missed the original (restarted mid-stream, or
 // evicted the digest's registration) gets another chance, so one lost
@@ -56,10 +62,10 @@ func replySession(session string, requester int, nonce uint64) string {
 // already queued — the same lifetime discipline as the broadcast serving
 // helper. lookup resolves a digest to the value bytes (or reports it
 // unknown: unknown digests are ignored, costing a Byzantine spammer
-// nothing of the server's memory). Values of at least the configured
-// coded threshold are answered with the server's own Reed–Solomon
-// fragment; smaller ones with the full bytes. maxVal bounds served value
-// sizes. Every valid request is answered — a client may legitimately pull
+// nothing of the server's memory). Values of at least
+// Options.CodedThreshold bytes (fragmentThreshold when that is zero) are
+// answered with the server's own Reed–Solomon fragment; smaller ones with
+// the full bytes. maxVal bounds served value sizes. Every valid request is answered — a client may legitimately pull
 // the same digest again in a later range fetch — so a hostile requester's
 // amplification is bounded by its own request rate, never state the
 // server must retain.
@@ -85,7 +91,7 @@ func ServePulls(ctx context.Context, env *runtime.Env, session string, maxVal in
 			return
 		}
 		reply := replySession(session, msg.From, nonce)
-		if thr := opts.threshold(); thr >= 0 && len(v) >= thr {
+		if thr := opts.threshold(fragmentThreshold); thr >= 0 && len(v) >= thr {
 			// Encoding the whole codeword to extract one fragment costs
 			// O(n·|v|) per request — bounded by the requester's own request
 			// rate (nothing amplifies it), so simplicity wins over a
@@ -125,7 +131,8 @@ func Pull(ctx context.Context, env *runtime.Env, session string, d [sha256.Size]
 	reply := replySession(session, env.ID, nonce)
 	maxFrag := 64 + coder.FragmentLen(maxVal)*8
 	// One fragment claim per responding party, pooled by claimed total
-	// length like the broadcast path, with the same retry-on-growth bound.
+	// length so a wrong length poisons only its own pool; a pool already
+	// refuted is retried only after it grows.
 	pools := make(map[int]map[int][]field.Elem)
 	claimed := make(map[int]bool)
 	lastTry := make(map[int]int)
@@ -183,4 +190,46 @@ func Pull(ctx context.Context, env *runtime.Env, session string, d [sha256.Size]
 			lastTry[total] = len(pool)
 		}
 	}
+}
+
+// reconstructPool is Pull's digest-checked online-error-correcting decode
+// of one fragment pool. The allocation-free clean decode runs first (the
+// overwhelmingly common case); its result is digest-checked even when
+// spare fragments disagreed (the chosen subset may still be the right
+// one). Only then does it escalate to Berlekamp–Welch, tolerating up to
+// min(t, (m−(t+1))/2) wrong fragments. The digest check rejects any decode
+// that is not the pulled value, so Pull simply retries as further
+// fragments arrive until the honest fragments dominate.
+func reconstructPool(coder *rs.Coder, tf int, d digest, total int, pool map[int][]field.Elem) ([]byte, bool) {
+	k := coder.K()
+	m := len(pool)
+	if m < k {
+		return nil, false
+	}
+	data, err := coder.ReconstructClean(total, pool)
+	switch {
+	case err == nil && sha256.Sum256(data) == d:
+		return data, true
+	case err == nil:
+		// A fully consistent pool encoding a different value: error
+		// correction cannot improve on consensus among the fragments.
+		return nil, false
+	case errors.Is(err, rs.ErrInconsistent) && sha256.Sum256(data) == d:
+		// Spare fragments disagreed but the decoding subset was correct.
+		return data, true
+	case !errors.Is(err, rs.ErrInconsistent):
+		return nil, false // malformed pool; Berlekamp–Welch would reject it too
+	}
+	maxErrors := (m - k) / 2
+	if maxErrors > tf {
+		maxErrors = tf
+	}
+	if maxErrors == 0 {
+		return nil, false
+	}
+	data, err = coder.Reconstruct(total, pool, maxErrors)
+	if err != nil || sha256.Sum256(data) != d {
+		return nil, false
+	}
+	return data, true
 }

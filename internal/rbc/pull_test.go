@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"asyncft/internal/field"
+	"asyncft/internal/rs"
 	"asyncft/internal/runtime"
 	"asyncft/internal/testkit"
 	"asyncft/internal/wire"
@@ -239,5 +241,40 @@ func TestPullSameDigestTwice(t *testing.T) {
 		if !bytes.Equal(got, v) {
 			t.Fatalf("round %d: wrong bytes", round)
 		}
+	}
+}
+
+// TestReconstructPoolErrorCorrection pins Pull's decode ladder at n = 4,
+// t = 1: a wrong fragment at the lowest index poisons the clean-decode
+// subset, so four fragments with one wrong need the Berlekamp–Welch
+// escalation and get it; three with one wrong are beyond the error budget;
+// and a pool that consistently encodes another value is refused by the
+// digest check however many fragments agree.
+func TestReconstructPoolErrorCorrection(t *testing.T) {
+	const n, tf = 4, 1
+	coder, err := rs.NewCoder(n, tf+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := bytes.Repeat([]byte("error-corrected chunk "), 200)
+	d := sha256.Sum256(v)
+	frags := coder.Encode(v)
+	wrong := append([]field.Elem(nil), frags[0]...)
+	for i := range wrong {
+		wrong[i] = field.Add(wrong[i], 1)
+	}
+	pool := map[int][]field.Elem{0: wrong, 1: frags[1], 2: frags[2]}
+	if _, ok := reconstructPool(coder, tf, d, len(v), pool); ok {
+		t.Fatal("decoded three fragments with one wrong: beyond the error budget")
+	}
+	pool[3] = frags[3]
+	got, ok := reconstructPool(coder, tf, d, len(v), pool)
+	if !ok || !bytes.Equal(got, v) {
+		t.Fatal("four fragments with one wrong did not decode to the value")
+	}
+	other := coder.Encode(bytes.Repeat([]byte{7}, len(v)))
+	consistent := map[int][]field.Elem{0: other[0], 1: other[1], 2: other[2], 3: other[3]}
+	if _, ok := reconstructPool(coder, tf, d, len(v), consistent); ok {
+		t.Fatal("accepted a consistent pool encoding another value")
 	}
 }

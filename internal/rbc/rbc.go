@@ -1,71 +1,91 @@
 // Package rbc implements asynchronous reliable broadcast, the Broadcast
-// primitive the paper calls A-Cast (Definition 4.4, citing Bracha [6]),
-// in two interoperable flavors sharing one receiver state machine:
+// primitive the paper calls A-Cast (Definition 4.4, citing Bracha [6]), as
+// one receiver state machine with a size-selected INIT:
 //
-//   - Classic Bracha echo (Run): the sender disperses INIT with the full
-//     value and parties echo the full value. Total traffic is O(n²·|m|)
+//   - Classic Bracha echo (Run, and RunCoded below Options.CodedThreshold):
+//     the sender's INIT carries the full value, parties ECHO the full value
+//     and READY the full value. Information-theoretic — no hash is trusted —
+//     which is what the paper's SVSS, coin and FBA run on. O(n²·|m|) bytes
 //     per broadcast.
-//   - Erasure-coded dispersal (RunCoded, above Options.CodedThreshold): the
-//     sender Reed–Solomon-encodes the value into n fragments with threshold
-//     t+1 (internal/rs.Coder) and sends party i only fragment i plus the
-//     SHA-256 digest of the value; parties echo only their own fragment +
-//     digest, and READY carries the digest alone. Quorum tracking keys on
-//     the digest, and a party holding a 2t+1 READY quorum reconstructs the
-//     value from collected fragments via error-corrected decoding
-//     (rs.DecodeIn + digest check), so up to t Byzantine parties echoing
-//     corrupted fragments can neither block nor corrupt the output. Total
-//     traffic drops to O(n²·|m|/(t+1) + n²·digest): READY is digest-only
-//     on the coded path (see sendReady for why this preserves totality),
-//     full-value on the classic path (faithful Bracha).
+//   - Digest dispersal (RunCoded at or above the threshold): the sender
+//     sends the full value once to every party (CINIT), a party that
+//     receives it echoes only sha256(v) (CECHO, 33 bytes), READY is the
+//     digest alone (CREADY), and a party delivers once it holds a 2t+1 READY
+//     quorum for a digest and a value hashing to it. The value crosses each
+//     link once: (n−1)·|m| + O(n²·33) bytes per broadcast, against
+//     (2n+1)(n−1)·|m| for classic echo.
 //
-// Both flavors quorum-track by payload digest and keep one canonical
-// payload copy per digest, so a Byzantine flood of distinct large values
-// costs one copy per distinct value, not one per message.
+// "Coded" in RunCoded, Options.CodedThreshold and the
+// rbc_deliveries_total{mode="coded"} series is the historical name of the
+// above-threshold path — it used to be Reed–Solomon fragment dispersal —
+// and now names digest dispersal; the rename waits for a benchmark-only
+// change, because bench/ compiles against these names.
 //
-// Guarantees with n ≥ 3t+1 under any message scheduling:
+// Quorums are tallied per SHA-256 digest on both paths, each peer's ECHO
+// and READY count once per instance whatever they carry, and one canonical
+// copy of a value is kept per digest, so t Byzantine peers can make an
+// instance retain at most 2n values (one per ECHO and READY) however much
+// they send.
 //
-//   - Termination: a nonfaulty sender's broadcast completes at every
-//     nonfaulty party; if any nonfaulty party completes, all participating
-//     nonfaulty parties complete.
-//   - Validity: a nonfaulty sender's value is the output.
-//   - Correctness: no two nonfaulty parties output different values.
+// Guarantees for n ≥ 3t+1 under any message scheduling; those of the
+// digest path additionally assume SHA-256 collision resistance. The echo
+// quorum is q = ⌈(n+t+1)/2⌉ (2t+1 at n = 3t+1), the READY quorum 2t+1, and
+// t+1 READYs are amplified.
 //
-// Totality of the coded path needs one extra mechanism: a Byzantine
-// *sender* can serve garbage fragments under a valid digest to a subset of
-// honest parties, leaving them with fragment pools that never decode even
-// though another honest party (served consistently) already delivered — a
-// hazard inherent to unauthenticated fragments. The repair is a
-// digest-pinned retransmission: a party whose READY quorum is complete but
-// whose pool decoding failed broadcasts a 33-byte CPULL, and any party
-// holding the value answers point-to-point with CFULL (validated against
-// the digest on receipt, answered at most once per requester per digest).
-// Delivered instances keep answering pulls from a background helper until
-// the caller's context ends — the same helpers-outlive-the-local-return
-// discipline the rest of the repository uses — so "if any nonfaulty party
-// completes, all participating nonfaulty parties complete" holds on the
-// coded path too. With an honest sender pulls essentially never fire (a
-// peer's fragment precedes its READY on FIFO links), so the bandwidth
-// saving is untouched; under attack the worst case degenerates toward
-// classic-echo cost, never beyond O(n²·|m|).
+//   - Consistency: no two nonfaulty parties output different values. Two
+//     sets of q echoers share more than t parties, hence a nonfaulty one,
+//     and a nonfaulty party echoes once: only one digest can reach q
+//     echoes. A nonfaulty party's READY follows q echoes or t+1 READYs —
+//     one of them a nonfaulty party's, inductively for the same digest —
+//     so every nonfaulty READY names that digest, no other digest reaches
+//     2t+1 READYs, and an output always hashes to the digest of its READY
+//     quorum.
+//   - Validity: a nonfaulty sender's value is the output. All n−t ≥ q
+//     nonfaulty parties receive it and echo its digest, so each sends
+//     READY, collects 2t+1 of them, and holds the value from INIT.
+//   - Totality: if any nonfaulty party outputs, every nonfaulty party
+//     does. Its 2t+1 READYs include t+1 nonfaulty ones, which reach
+//     everyone and are amplified, so every nonfaulty party completes the
+//     READY quorum for the same digest d. The first nonfaulty READY saw q ≥
+//     2t+1 echoes of d, so at least t+1 nonfaulty parties echoed d — and a
+//     nonfaulty party echoes d only while holding v (it got v in INIT, or
+//     its classic ECHO carries v) and broadcasts that echo to everyone. A
+//     party whose quorum completes without v therefore pulls it: it sends
+//     a CPULL naming d to the first t+1 distinct parties whose echo of d it
+//     receives (at least t+1 nonfaulty echoes arrive, so it finds t+1
+//     parties to ask, and at least one of them is nonfaulty and holds v),
+//     and accepts a CFULL only from a party it asked and only if the bytes
+//     hash to d. A holder answers each requester once, from its Run loop
+//     before delivery and from a background helper after it, until the
+//     caller's context ends, Options.Handoff closes or the session is
+//     released (a retired ledger slot is recovered by state transfer
+//     instead) — the helpers-outlive-the-local-return discipline the rest
+//     of the repository uses.
+//
+// With a nonfaulty sender and timely links no pull fires: the value
+// arrives in INIT a round before the READY quorum can form. A party whose
+// link from the sender is slower than two rounds pulls t+1 copies it would
+// not otherwise need. Under a Byzantine sender the worst case is the n−1
+// INITs plus t+1 answered pulls per nonfaulty party, (n−1)·|m| +
+// (n−t)(t+1)·|m| bytes; Byzantine requesters add at most t(n−t)·|m| (one
+// answer per requester per holder). All of it stays inside the O(n²·|m|)
+// of classic echo.
 package rbc
 
 import (
 	"context"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 
-	"asyncft/internal/field"
 	"asyncft/internal/obs"
-	"asyncft/internal/rs"
 	"asyncft/internal/runtime"
 	"asyncft/internal/wire"
 )
 
-// Message types within a broadcast session: the classic full-value
-// triple, the coded (fragment + digest) triple, and the retransmission
-// pair that repairs coded totality (CPULL asks "who has the value for
-// this digest", CFULL answers point-to-point with the full value).
+// Message types within a broadcast session: the classic full-value triple,
+// the digest-dispersal triple (CINIT carries the value, CECHO and CREADY
+// its digest), and the retransmission pair behind totality (CPULL asks a
+// party that echoed a digest for the value, CFULL answers with it).
 const (
 	msgInit   uint8 = 1
 	msgEcho   uint8 = 2
@@ -82,16 +102,17 @@ const (
 const MaxValueSize = 1 << 20
 
 // DefaultCodedThreshold is the payload size, in bytes, at which RunCoded
-// switches from classic echo to erasure-coded dispersal when
-// Options.CodedThreshold is zero. Below it the digest/fragment framing
-// overhead outweighs the echo savings.
-const DefaultCodedThreshold = 512
+// switches from classic echo to digest dispersal when
+// Options.CodedThreshold is zero: two digests, just above the 33 bytes at
+// which a digest echo stops being larger than the value it stands for.
+// EXPERIMENTS.md (History) has the measurement against the earlier 512.
+const DefaultCodedThreshold = 2 * sha256.Size
 
-// Options tunes a broadcast instance. The zero value uses coded dispersal
-// above DefaultCodedThreshold.
+// Options tunes a broadcast instance. The zero value uses digest dispersal
+// at and above DefaultCodedThreshold.
 type Options struct {
 	// CodedThreshold selects the dispersal strategy by payload size:
-	// positive — payloads of at least this many bytes are erasure-coded;
+	// positive — payloads of at least this many bytes are echoed by digest;
 	// zero — use DefaultCodedThreshold; negative — always classic echo.
 	// Only the sender's option matters on the wire: receivers handle both
 	// flavors regardless, so mixed configurations interoperate.
@@ -107,20 +128,30 @@ type Options struct {
 	// lifetime. Nil keeps the historical context-bound lifetime.
 	Handoff <-chan struct{}
 	// Metrics, when non-nil, receives this instance's counters: deliveries
-	// by dispersal mode, retransmission pulls sent/served, and failed
-	// reconstruction attempts (the escalations that trigger pulls).
+	// by dispersal mode, retransmission pulls sent/served, and pull replies
+	// refuted by the digest check.
 	Metrics *obs.Registry
 }
 
-func (o Options) threshold() int {
+// threshold resolves CodedThreshold against the default def; −1 is never.
+func (o Options) threshold(def int) int {
 	switch {
 	case o.CodedThreshold > 0:
 		return o.CodedThreshold
 	case o.CodedThreshold < 0:
 		return -1
 	default:
-		return DefaultCodedThreshold
+		return def
 	}
+}
+
+// initType is the sender's size-selected INIT: CINIT (echoed by digest) at
+// or above the threshold, the classic full-value INIT below it.
+func (o Options) initType(value []byte) uint8 {
+	if thr := o.threshold(DefaultCodedThreshold); thr >= 0 && len(value) >= thr && len(value) > 0 {
+		return msgCInit
+	}
+	return msgInit
 }
 
 // Run executes one reliable-broadcast instance identified by session using
@@ -133,25 +164,18 @@ func Run(ctx context.Context, env *runtime.Env, session string, sender int, valu
 	return RunCoded(ctx, env, session, sender, value, Options{CodedThreshold: -1})
 }
 
-// RunCoded is Run with erasure-coded dispersal for payloads at or above
-// the configured threshold: same Termination/Validity/Correctness contract
-// and bit-identical outputs, at O(|m|/(t+1)) per-link bandwidth for large
-// values. Sender and receivers may use different Options; only the
+// RunCoded is Run with digest dispersal for payloads at or above the
+// configured threshold: same Termination/Validity/Correctness contract and
+// bit-identical outputs, with the value crossing each link once instead
+// of 2n+1 times. Sender and receivers may use different Options; only the
 // sender's threshold affects the wire.
 func RunCoded(ctx context.Context, env *runtime.Env, session string, sender int, value []byte, opts Options) ([]byte, error) {
 	if sender < 0 || sender >= env.N {
 		return nil, fmt.Errorf("rbc %s: invalid sender %d", session, sender)
 	}
-	st, err := newState(env, session, sender, opts)
-	if err != nil {
-		return nil, fmt.Errorf("rbc %s: %w", session, err)
-	}
+	st := newState(env, session, sender, opts)
 	if env.ID == sender {
-		if thr := opts.threshold(); thr >= 0 && len(value) >= thr && len(value) > 0 {
-			st.disperse(value)
-		} else {
-			env.SendAll(session, msgInit, value)
-		}
+		env.SendAll(session, opts.initType(value), value)
 	}
 	for {
 		msg, err := env.Recv(ctx, session)
@@ -172,9 +196,9 @@ func RunCoded(ctx context.Context, env *runtime.Env, session string, sender int,
 }
 
 // serve drains the session after local delivery so CPULL requests from
-// parties still reconstructing are answered. Its lifetime is the handoff's
-// when one is given — serving continues past the protocol context until
-// the handoff channel closes — and the context's otherwise; the node
+// parties still missing the value are answered. Its lifetime is the
+// handoff's when one is given — serving continues past the protocol context
+// until the handoff channel closes — and the context's otherwise; the node
 // closing always ends it. On exit it drains messages already queued, so a
 // pull that raced the cancellation is answered, not dropped.
 func (st *state) serve(ctx context.Context, handoff <-chan struct{}) {
@@ -221,12 +245,50 @@ func serveUntil(ctx context.Context, handoff <-chan struct{}, env *runtime.Env, 
 // digest identifies a broadcast value without holding its bytes.
 type digest = [sha256.Size]byte
 
-// fragKey identifies one fragment pool. Pools are keyed by (digest,
-// claimed length) so a Byzantine party announcing a wrong length for a
-// digest poisons only its own pool, never the honest fragments.
-type fragKey struct {
-	d     digest
-	total int
+// digestLen is the size of a CECHO/CREADY/CPULL body: the digest as a
+// length-prefixed byte string (wire.Writer.BytesField's encoding).
+const digestLen = 1 + sha256.Size
+
+// partySet is a set of party indices in [0, n).
+type partySet []uint64
+
+// partyWords is the length of a partySet over n parties.
+func partyWords(n int) int { return (n + 63) / 64 }
+
+func newPartySet(n int) partySet { return make(partySet, partyWords(n)) }
+
+func (s partySet) has(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+
+// add inserts i and reports whether it was absent.
+func (s partySet) add(i int) bool {
+	if s.has(i) {
+		return false
+	}
+	s[i>>6] |= 1 << (i & 63)
+	return true
+}
+
+// tally is what an instance knows about one digest.
+type tally struct {
+	echoed  partySet // who echoed it: the parties a pull may ask for the value
+	echoes  int
+	readies int
+	// value is the canonical copy of the bytes hashing to the digest; held
+	// tells an absent value from an empty one.
+	value []byte
+	held  bool
+	// byDigest records that a CINIT or CECHO named the digest: the instance
+	// is digest-dispersed from this party's point of view.
+	byDigest bool
+}
+
+// pull is the retransmission a party runs when its READY quorum completes
+// without the value, allocated when that first happens.
+type pull struct {
+	d       digest
+	asked   partySet // sent a CPULL
+	replied partySet // answered it, with whatever bytes
+	n       int      // len(asked), at most t+1
 }
 
 // state is the per-instance receiver state machine, shared by both
@@ -235,37 +297,27 @@ type state struct {
 	env     *runtime.Env
 	session string
 	sender  int
-	coder   *rs.Coder
 
 	echoed  bool
 	readied bool
 
-	echoes  map[digest]map[int]bool
-	readies map[digest]map[int]bool
-	// values holds one canonical payload copy per digest (the Bracha-path
-	// memory fix: quorum maps never key on payload bytes).
-	values map[digest][]byte
-	// pools holds coded fragments indexed digest → claimed length → party.
-	// Each party gets at most one fragment claim per digest (claimed), so a
-	// digest has at most n pools and every per-message scan is O(n) — a
-	// Byzantine flood of distinct length claims cannot amplify CPU.
-	// lastTry remembers the pool size of the last failed reconstruction
-	// attempt so duplicate quorum messages cannot retrigger decode work
-	// (attempts rerun only when a pool grows).
-	pools     map[digest]map[int]map[int][]field.Elem
-	claimed   map[digest]map[int]bool
-	lastTry   map[fragKey]int
-	readyDone map[digest]bool
+	// echoFrom and readyFrom admit one ECHO and one READY per peer, of
+	// either flavor — a nonfaulty party sends exactly one of each — so
+	// tallies holds at most 2n+1 digests. served marks requesters whose
+	// pull this party answered.
+	echoFrom  partySet
+	readyFrom partySet
+	served    partySet
+	tallies   map[digest]*tally
+	pull      *pull
 
-	// Retransmission state: pulled marks digests this party has asked
-	// retransmission for; pullSeen dedupes inbound requests per (digest,
-	// requester); pullWait queues requesters to answer once the value is
-	// known.
-	pulled   map[digest]bool
-	pullSeen map[digest]map[int]bool
-	pullWait map[digest][]int
-
-	maxCodedPayload int
+	// body is the CECHO/CREADY/CPULL body last built, for bodyOf: a
+	// party's echo and READY name the same digest unless the sender
+	// equivocated. The first one lives in bodyBuf, inside the state's own
+	// allocation.
+	body    []byte
+	bodyOf  digest
+	bodyBuf [digestLen]byte
 
 	// instrument handles (nil without Options.Metrics; all no-op then).
 	// counted guards the delivery counters: serve keeps running the state
@@ -275,386 +327,246 @@ type state struct {
 	mDeliverCoded   *obs.Counter
 	mPullsSent      *obs.Counter
 	mPullsServed    *obs.Counter
-	mReconFail      *obs.Counter
+	mBadFull        *obs.Counter
 }
 
-func newState(env *runtime.Env, session string, sender int, opts Options) (*state, error) {
-	coder, err := rs.NewCoder(env.N, env.T+1)
-	if err != nil {
-		return nil, err
-	}
+func newState(env *runtime.Env, session string, sender int, opts Options) *state {
+	words := partyWords(env.N)
+	sets := make(partySet, 3*words)
 	st := &state{
-		env:             env,
-		session:         session,
-		sender:          sender,
-		coder:           coder,
-		echoes:          make(map[digest]map[int]bool),
-		readies:         make(map[digest]map[int]bool),
-		values:          make(map[digest][]byte),
-		pools:           make(map[digest]map[int]map[int][]field.Elem),
-		claimed:         make(map[digest]map[int]bool),
-		lastTry:         make(map[fragKey]int),
-		readyDone:       make(map[digest]bool),
-		pulled:          make(map[digest]bool),
-		pullSeen:        make(map[digest]map[int]bool),
-		pullWait:        make(map[digest][]int),
-		maxCodedPayload: 64 + coder.FragmentLen(MaxValueSize)*8,
+		env:       env,
+		session:   session,
+		sender:    sender,
+		echoFrom:  sets[:words:words],
+		readyFrom: sets[words : 2*words : 2*words],
+		served:    sets[2*words:],
+		tallies:   make(map[digest]*tally, 1),
 	}
 	if reg := opts.Metrics; reg != nil {
-		deliveries := reg.CounterVec("rbc_deliveries_total", "Broadcast deliveries by dispersal mode.", "mode")
+		deliveries := reg.CounterVec("rbc_deliveries_total", "Broadcast deliveries by dispersal mode (coded = digest dispersal).", "mode")
 		st.mDeliverClassic = deliveries.With("classic")
 		st.mDeliverCoded = deliveries.With("coded")
-		st.mPullsSent = reg.Counter("rbc_pulls_sent_total", "Retransmission pulls this party broadcast after failed reconstructions.")
+		st.mPullsSent = reg.Counter("rbc_pulls_sent_total", "Instances in which this party's READY quorum completed without the value and it pulled the value from parties that echoed its digest.")
 		st.mPullsServed = reg.Counter("rbc_pulls_served_total", "Retransmission pulls this party answered with the full value.")
-		st.mReconFail = reg.Counter("rbc_reconstruct_failures_total", "Reconstruction attempts refuted by the digest check (escalations toward error correction and pulls).")
+		st.mBadFull = reg.Counter("rbc_reconstruct_failures_total", "Pull replies refuted by the digest check.")
 	}
-	return st, nil
+	return st
 }
 
-// disperse is the coded sender's INIT: fragment i + digest to party i.
-func (st *state) disperse(value []byte) {
-	frags := st.coder.Encode(value)
-	d := sha256.Sum256(value)
-	// Store a private copy: the retransmission helper may still be sending
-	// this slice long after the caller got its result back.
-	st.values[d] = append([]byte(nil), value...)
-	for i := 0; i < st.env.N; i++ {
-		var w wire.Writer
-		w.BytesField(d[:])
-		w.Int(len(value))
-		w.Elems(frags[i])
-		st.env.Send(i, st.session, msgCInit, w.Bytes())
-	}
-}
+// echoQuorum is ⌈(n+t+1)/2⌉, the number of echoes two of which always share
+// a nonfaulty party; 2t+1 at n = 3t+1.
+func (st *state) echoQuorum() int { return (st.env.N+st.env.T)/2 + 1 }
 
 // handle advances the state machine by one message; done reports delivery.
 func (st *state) handle(msg wire.Envelope) ([]byte, bool) {
+	from := msg.From
+	if from < 0 || from >= st.env.N || len(msg.Payload) > MaxValueSize {
+		return nil, false
+	}
 	switch msg.Type {
 	case msgInit:
-		if msg.From != st.sender || st.echoed || len(msg.Payload) > MaxValueSize {
+		if from != st.sender || st.echoed {
 			return nil, false
 		}
 		st.echoed = true
 		st.env.SendAll(st.session, msgEcho, msg.Payload)
-	case msgEcho:
-		if len(msg.Payload) > MaxValueSize {
-			return nil, false
-		}
-		d := sha256.Sum256(msg.Payload)
-		st.storeValue(d, msg.Payload)
-		if st.mark(st.echoes, d, msg.From) == 2*st.env.T+1 && !st.readied {
-			st.sendReady(d)
-		}
-		// An echo can be the event that finally supplies the value after
-		// the READY quorum already completed.
-		return st.tryDeliver(d)
-	case msgReady:
-		if len(msg.Payload) > MaxValueSize {
-			return nil, false
-		}
-		d := sha256.Sum256(msg.Payload)
-		st.storeValue(d, msg.Payload)
-		return st.onReady(d, msg.From)
 	case msgCInit:
-		if msg.From != st.sender || st.echoed {
-			return nil, false
-		}
-		d, total, frag, ok := st.parseFrag(msg.Payload)
-		if !ok {
+		if from != st.sender || st.echoed {
 			return nil, false
 		}
 		st.echoed = true
-		st.addFrag(d, total, st.env.ID, frag)
-		// The CINIT body (digest | length | own fragment) is exactly the
-		// CECHO body: re-send the received encoding without re-serializing.
-		st.env.SendAll(st.session, msgCEcho, msg.Payload)
-		return st.tryDeliver(d)
+		d := sha256.Sum256(msg.Payload)
+		tl := st.tally(d)
+		tl.byDigest = true
+		tl.hold(msg.Payload)
+		st.env.SendAll(st.session, msgCEcho, st.digestBody(d))
+		// The value can be the last thing a completed READY quorum lacked.
+		return st.tryDeliver(d, tl)
+	case msgEcho:
+		if !st.echoFrom.add(from) {
+			return nil, false
+		}
+		d := sha256.Sum256(msg.Payload)
+		tl := st.tally(d)
+		tl.hold(msg.Payload)
+		return st.onEcho(d, tl, from)
 	case msgCEcho:
-		d, total, frag, ok := st.parseFrag(msg.Payload)
-		if !ok {
+		d, ok := parseDigest(msg.Payload)
+		if !ok || !st.echoFrom.add(from) {
 			return nil, false
 		}
-		st.addFrag(d, total, msg.From, frag)
-		if st.mark(st.echoes, d, msg.From) == 2*st.env.T+1 && !st.readied {
-			st.sendReady(d)
+		tl := st.tally(d)
+		tl.byDigest = true
+		return st.onEcho(d, tl, from)
+	case msgReady:
+		if !st.readyFrom.add(from) {
+			return nil, false
 		}
-		return st.tryDeliver(d)
+		d := sha256.Sum256(msg.Payload)
+		tl := st.tally(d)
+		tl.hold(msg.Payload)
+		return st.onReady(d, tl)
 	case msgCReady:
-		d, ok := st.parseDigest(msg.Payload)
-		if !ok {
+		d, ok := parseDigest(msg.Payload)
+		if !ok || !st.readyFrom.add(from) {
 			return nil, false
 		}
-		return st.onReady(d, msg.From)
+		return st.onReady(d, st.tally(d))
 	case msgCPull:
-		d, ok := st.parseDigest(msg.Payload)
+		// A nonfaulty requester asks only parties whose echo of d it saw,
+		// and a nonfaulty party holds what it echoed: a pull for anything
+		// not held is Byzantine and retains nothing here.
+		d, ok := parseDigest(msg.Payload)
 		if !ok {
 			return nil, false
 		}
-		seen := st.pullSeen[d]
-		if seen == nil {
-			seen = make(map[int]bool)
-			st.pullSeen[d] = seen
-		}
-		if seen[msg.From] {
-			return nil, false // one answer per requester per digest
-		}
-		seen[msg.From] = true
-		if v, ok := st.values[d]; ok {
+		if tl := st.tallies[d]; tl != nil && tl.held && st.served.add(from) {
 			st.mPullsServed.Inc()
-			st.env.Send(msg.From, st.session, msgCFull, v)
-		} else {
-			st.pullWait[d] = append(st.pullWait[d], msg.From)
+			st.env.Send(from, st.session, msgCFull, tl.value)
 		}
 	case msgCFull:
-		if len(msg.Payload) > MaxValueSize {
+		p := st.pull
+		if p == nil || !p.asked.has(from) || !p.replied.add(from) {
 			return nil, false
 		}
-		// Self-authenticating: the value is stored under the digest of its
-		// own bytes, so a lying retransmission can never satisfy the quorum
-		// digest it was pulled for.
-		d := sha256.Sum256(msg.Payload)
-		st.storeValue(d, msg.Payload)
-		return st.tryDeliver(d)
+		if sha256.Sum256(msg.Payload) != p.d {
+			st.mBadFull.Inc()
+			return nil, false
+		}
+		tl := st.tallies[p.d]
+		tl.hold(msg.Payload)
+		return st.tryDeliver(p.d, tl)
 	}
 	return nil, false
 }
 
-// onReady marks a READY (either flavor) and drives amplification, quorum
-// completion and delivery.
-func (st *state) onReady(d digest, from int) ([]byte, bool) {
-	n := st.mark(st.readies, d, from)
-	if n == st.env.T+1 && !st.readied {
-		st.sendReady(d)
+// tally returns the record for d, creating it on first mention.
+func (st *state) tally(d digest) *tally {
+	tl := st.tallies[d]
+	if tl == nil {
+		tl = &tally{echoed: newPartySet(st.env.N)}
+		st.tallies[d] = tl
 	}
-	if n == 2*st.env.T+1 {
-		st.readyDone[d] = true
+	return tl
+}
+
+// hold retains the canonical copy of the digest's value. The copy is
+// private: an in-memory fabric hands every recipient the sender's slice.
+func (tl *tally) hold(payload []byte) {
+	if !tl.held {
+		tl.value, tl.held = append([]byte(nil), payload...), true
 	}
-	return st.tryDeliver(d)
+}
+
+// onEcho counts from's echo of d — the caller admitted it as from's one
+// echo of the instance — and drives READY, pulls and delivery.
+func (st *state) onEcho(d digest, tl *tally, from int) ([]byte, bool) {
+	tl.echoed.add(from)
+	tl.echoes++
+	if tl.echoes == st.echoQuorum() && !st.readied {
+		st.sendReady(d, tl)
+	}
+	// An echo can supply the value a completed READY quorum lacked, or
+	// name one more party to pull it from.
+	return st.tryDeliver(d, tl)
+}
+
+// onReady counts one admitted READY for d (either flavor) and drives
+// amplification and delivery.
+func (st *state) onReady(d digest, tl *tally) ([]byte, bool) {
+	tl.readies++
+	if tl.readies == st.env.T+1 && !st.readied {
+		st.sendReady(d, tl)
+	}
+	return st.tryDeliver(d, tl)
 }
 
 // sendReady emits this party's single READY. The classic path stays
-// faithful to Bracha: READY carries the full value (so the seed's wire
-// behavior is the unchanged baseline coded dispersal is measured against).
-// Coded-flavored instances — any instance for which fragments were seen —
-// send the 33-byte digest-only READY; so does amplification when neither
-// the value nor fragments are at hand yet, which is safe because echoes
-// are broadcast to everyone and eventually supply the value to any party
-// whose READY quorum completes.
-func (st *state) sendReady(d digest) {
+// faithful to Bracha: READY carries the full value. An instance in which a
+// CINIT or CECHO named the digest sends the 33-byte digest-only READY; so
+// does amplification when the value is not at hand, which is safe because
+// a party whose READY quorum completes without the value pulls it.
+func (st *state) sendReady(d digest, tl *tally) {
 	st.readied = true
-	if v, ok := st.values[d]; ok && !st.codedSeen(d) {
-		st.env.SendAll(st.session, msgReady, v)
+	if tl.held && !tl.byDigest {
+		st.env.SendAll(st.session, msgReady, tl.value)
 		return
 	}
-	var w wire.Writer
-	w.BytesField(d[:])
-	st.env.SendAll(st.session, msgCReady, w.Bytes())
+	st.env.SendAll(st.session, msgCReady, st.digestBody(d))
 }
 
-// codedSeen reports whether any fragment pool exists for d (the instance
-// is coded-flavored from this party's point of view).
-func (st *state) codedSeen(d digest) bool {
-	return len(st.pools[d]) > 0
+// digestBody returns the CECHO/CREADY/CPULL body for d. Bodies are never
+// written after they are built — recipients on an in-memory fabric share
+// them — so a different digest gets a new one.
+func (st *state) digestBody(d digest) []byte {
+	if st.body != nil && st.bodyOf == d {
+		return st.body
+	}
+	buf := st.bodyBuf[:0]
+	if st.body != nil {
+		buf = nil
+	}
+	st.body, st.bodyOf = appendDigest(buf, d), d
+	return st.body
 }
 
-// storeValue retains the canonical payload copy for a digest.
-func (st *state) storeValue(d digest, payload []byte) {
-	if _, ok := st.values[d]; !ok {
-		st.values[d] = append([]byte(nil), payload...)
-	}
+// appendDigest appends the CECHO/CREADY/CPULL body for d to dst.
+func appendDigest(dst []byte, d digest) []byte {
+	return append(append(dst, sha256.Size), d[:]...)
 }
 
-// addFrag records a fragment claimed for party idx. Each party gets one
-// claim per digest — the first (length, fragment) it announces — so pools
-// per digest are bounded by n and a party cannot spray fragments across
-// many length claims.
-func (st *state) addFrag(d digest, total, idx int, frag []field.Elem) {
-	cl := st.claimed[d]
-	if cl == nil {
-		cl = make(map[int]bool)
-		st.claimed[d] = cl
-	}
-	if cl[idx] {
-		return
-	}
-	cl[idx] = true
-	byTotal := st.pools[d]
-	if byTotal == nil {
-		byTotal = make(map[int]map[int][]field.Elem)
-		st.pools[d] = byTotal
-	}
-	pool := byTotal[total]
-	if pool == nil {
-		pool = make(map[int][]field.Elem)
-		byTotal[total] = pool
-	}
-	pool[idx] = frag
-}
-
-// mark adds from to the digest's party set and returns the new size.
-func (st *state) mark(m map[digest]map[int]bool, d digest, from int) int {
-	set := m[d]
-	if set == nil {
-		set = make(map[int]bool)
-		m[d] = set
-	}
-	set[from] = true
-	return len(set)
-}
-
-// tryDeliver outputs the value for d once the READY quorum is complete and
-// the value is available — directly, or by error-corrected reconstruction
-// from any fragment pool that decodes to the digest. When a decodable-size
-// pool fails (a Byzantine sender served inconsistent fragments), it asks
-// all parties for a retransmission once; whoever delivered answers with
-// the full value, restoring totality.
-func (st *state) tryDeliver(d digest) ([]byte, bool) {
-	if !st.readyDone[d] {
-		return nil, false
-	}
-	if v, ok := st.values[d]; ok {
-		st.countDelivery(d)
-		st.answerPulls(d, v)
-		return v, true
-	}
-	failed := false
-	for total, pool := range st.pools[d] {
-		if len(pool) < st.coder.K() {
-			continue
-		}
-		key := fragKey{d: d, total: total}
-		if len(pool) == st.lastTry[key] {
-			failed = true // already refuted at this pool size; wait for growth
-			continue
-		}
-		if v, ok := st.reconstruct(key, pool); ok {
-			st.values[d] = v
-			st.countDelivery(d)
-			st.answerPulls(d, v)
-			return v, true
-		}
-		st.mReconFail.Inc()
-		st.lastTry[key] = len(pool)
-		failed = true
-	}
-	if failed && !st.pulled[d] {
-		st.pulled[d] = true
-		st.mPullsSent.Inc()
-		var w wire.Writer
-		w.BytesField(d[:])
-		st.env.SendAll(st.session, msgCPull, w.Bytes())
-	}
-	return nil, false
-}
-
-// countDelivery increments the delivery counter once per instance,
-// attributed to the dispersal mode this party observed.
-func (st *state) countDelivery(d digest) {
-	if st.counted {
-		return
-	}
-	st.counted = true
-	if st.codedSeen(d) {
-		st.mDeliverCoded.Inc()
-	} else {
-		st.mDeliverClassic.Inc()
-	}
-}
-
-// answerPulls responds to retransmission requests queued before the value
-// became known.
-func (st *state) answerPulls(d digest, v []byte) {
-	for _, j := range st.pullWait[d] {
-		st.mPullsServed.Inc()
-		st.env.Send(j, st.session, msgCFull, v)
-	}
-	delete(st.pullWait, d)
-}
-
-// reconstruct attempts an online-error-correcting decode of one pool. The
-// allocation-free clean decode runs first (the overwhelmingly common
-// case); its result is digest-checked even when spare fragments disagreed
-// (the chosen subset may still be the right one). Only then does it
-// escalate to Berlekamp–Welch, tolerating up to min(t, (m−(t+1))/2) wrong
-// fragments. The digest check rejects any decode that is not the
-// broadcast value, so the state machine simply retries as further
-// fragments arrive until the honest fragments dominate.
-func (st *state) reconstruct(key fragKey, pool map[int][]field.Elem) ([]byte, bool) {
-	return reconstructPool(st.coder, st.env.T, key.d, key.total, pool)
-}
-
-// reconstructPool is the digest-checked online-error-correcting decode
-// shared by the broadcast state machine and the generalized pull client:
-// clean decode first, Berlekamp–Welch escalation, every candidate checked
-// against the digest.
-func reconstructPool(coder *rs.Coder, tf int, d digest, total int, pool map[int][]field.Elem) ([]byte, bool) {
-	k := coder.K()
-	m := len(pool)
-	if m < k {
-		return nil, false
-	}
-	data, err := coder.ReconstructClean(total, pool)
-	switch {
-	case err == nil && sha256.Sum256(data) == d:
-		return data, true
-	case err == nil:
-		// A fully consistent pool encoding a different value: error
-		// correction cannot improve on consensus among the fragments.
-		return nil, false
-	case errors.Is(err, rs.ErrInconsistent) && sha256.Sum256(data) == d:
-		// Spare fragments disagreed but the decoding subset was correct.
-		return data, true
-	case !errors.Is(err, rs.ErrInconsistent):
-		return nil, false // malformed pool; Berlekamp–Welch would reject it too
-	}
-	maxErrors := (m - k) / 2
-	if maxErrors > tf {
-		maxErrors = tf
-	}
-	if maxErrors == 0 {
-		return nil, false
-	}
-	data, err = coder.Reconstruct(total, pool, maxErrors)
-	if err != nil || sha256.Sum256(data) != d {
-		return nil, false
-	}
-	return data, true
-}
-
-// parseFrag decodes a CINIT/CECHO body. It enforces every cap a Byzantine
-// sender could abuse: payload size, claimed value length, and exact
-// fragment length for that claim.
-func (st *state) parseFrag(payload []byte) (digest, int, []field.Elem, bool) {
+// parseDigest decodes a CECHO/CREADY/CPULL body.
+func parseDigest(payload []byte) (digest, bool) {
 	var d digest
-	if len(payload) > st.maxCodedPayload {
-		return d, 0, nil, false
-	}
-	r := wire.NewReader(payload)
-	db := r.BytesField(sha256.Size)
-	total := r.Int()
-	if r.Err() != nil || len(db) != sha256.Size || total > MaxValueSize {
-		return d, 0, nil, false
-	}
-	want := st.coder.FragmentLen(total)
-	frag := r.Elems(want)
-	if r.Err() != nil || len(frag) != want {
-		return d, 0, nil, false
-	}
-	copy(d[:], db)
-	return d, total, frag, true
-}
-
-// parseDigest decodes a CREADY body.
-func (st *state) parseDigest(payload []byte) (digest, bool) {
-	var d digest
-	if len(payload) > 2*sha256.Size {
+	if len(payload) != digestLen || payload[0] != sha256.Size {
 		return d, false
 	}
-	r := wire.NewReader(payload)
-	db := r.BytesField(sha256.Size)
-	if r.Err() != nil || len(db) != sha256.Size {
-		return d, false
-	}
-	copy(d[:], db)
+	copy(d[:], payload[1:])
 	return d, true
+}
+
+// tryDeliver outputs the value for d once its READY quorum is complete and
+// the value is held. A complete quorum without the value asks for it.
+func (st *state) tryDeliver(d digest, tl *tally) ([]byte, bool) {
+	if tl.readies < 2*st.env.T+1 {
+		return nil, false
+	}
+	if !tl.held {
+		st.pullFrom(d, tl)
+		return nil, false
+	}
+	if !st.counted {
+		st.counted = true
+		if tl.byDigest {
+			st.mDeliverCoded.Inc()
+		} else {
+			st.mDeliverClassic.Inc()
+		}
+	}
+	return tl.value, true
+}
+
+// pullFrom sends a CPULL for d to parties that echoed d and have not been
+// asked, until t+1 have been: one of any t+1 is nonfaulty and holds the
+// value. It runs again on every later echo of d, so it asks as the echoes
+// arrive. Scanning from this party's successor spreads concurrent pullers
+// over different holders.
+func (st *state) pullFrom(d digest, tl *tally) {
+	p := st.pull
+	if p == nil {
+		p = &pull{d: d, asked: newPartySet(st.env.N), replied: newPartySet(st.env.N)}
+		st.pull = p
+		st.mPullsSent.Inc()
+	}
+	if p.d != d {
+		return // only one digest completes a READY quorum; see Consistency
+	}
+	n := st.env.N
+	for k := 1; k < n && p.n <= st.env.T; k++ {
+		i := (st.env.ID + k) % n
+		if tl.echoed.has(i) && p.asked.add(i) {
+			p.n++
+			st.env.Send(i, st.session, msgCPull, st.digestBody(d))
+		}
+	}
 }
