@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"asyncft/internal/obs"
+	"asyncft/internal/runtime"
 	"asyncft/internal/shard"
 )
 
@@ -444,6 +446,57 @@ func TestClusterRunBatchMixed(t *testing.T) {
 	}
 	if v := res[3].Value.(byte); v > 1 {
 		t.Fatalf("batched BA output %d not a bit", v)
+	}
+}
+
+// 32 coin flips in flight at once through RunBatch each release their own
+// tree as they finish, and only their own: a while after the batch returns
+// no node has a session registered, and every flip's tree refuses a new one.
+func TestClusterRunBatchReleasesEveryCoinFlip(t *testing.T) {
+	cfg := fastConfig(31)
+	cfg.CoinRounds = 1
+	cfg.Timeout = 120 * time.Second
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	regs := make([]*obs.Registry, len(c.nodes))
+	for i, nd := range c.nodes {
+		regs[i] = obs.NewRegistry()
+		nd.Instrument(regs[i])
+	}
+	const flips = 32
+	specs := make([]BatchSpec, flips)
+	for i := range specs {
+		specs[i] = CoinFlipSpec(runtime.SubSession("released", i))
+	}
+	res, err := c.RunBatch(0, specs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != flips {
+		t.Fatalf("got %d results, want %d", len(res), flips)
+	}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	deadline := time.Now().Add(30 * time.Second)
+	for id, nd := range c.nodes {
+		for {
+			active, _ := regs[id].Snapshot("runtime_sessions_active")
+			if active[""] == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("party %d still has %v sessions registered after the batch", id, active[""])
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		for _, r := range res {
+			if _, err := nd.Mailbox(r.Session + "/late").Recv(done); err != runtime.ErrClosed {
+				t.Fatalf("party %d: flip %s is not released (%v)", id, r.Session, err)
+			}
+		}
 	}
 }
 

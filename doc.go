@@ -18,6 +18,15 @@
 //     input wins with probability ≥ 1/2 (Algorithm 3) — the first such
 //     protocol in the information-theoretic setting.
 //
+//     A call of any of the three leaves nothing behind: each is a scope
+//     with a termination gadget (internal/core) — a party announces its
+//     output, t+1 matching announcements let a party that is behind adopt
+//     it (by agreement it is the protocol's output), and n−t of them
+//     release the call's whole session tree (mailboxes, helper goroutines,
+//     a tombstone for late frames), since whoever is still running then
+//     terminates by adoption. A node's memory does not grow with the
+//     number of decisions it has made.
+//
 //   - The full substrate stack: Bracha reliable broadcast, shunning
 //     verifiable secret sharing, weak common coins, almost-surely
 //     terminating binary agreement, and the CommonSubset protocol

@@ -2,8 +2,10 @@ package ba
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"asyncft/internal/network"
 	"asyncft/internal/runtime"
@@ -153,6 +155,35 @@ func TestInvalidInputRejected(t *testing.T) {
 	defer c.Close()
 	if _, err := Run(c.Ctx, c.Envs[0], "ba/x", 7, LocalCoin(c.Envs[0]), Options{}); err == nil {
 		t.Fatal("expected error for non-binary input")
+	}
+}
+
+// An instance that cannot finish — it runs alone — returns when its context
+// ends, under either engine, every time: the pump and the round loop see
+// the same cancellation, and the loop must not depend on the pump passing
+// it on.
+func TestRunReturnsWhenContextEnds(t *testing.T) {
+	for _, useBCA := range []bool{false, true} {
+		c := testkit.New(4, 1)
+		for i := 0; i < 50; i++ {
+			ctx, cancel := context.WithCancel(c.Ctx)
+			done := make(chan error, 1)
+			sess := runtime.SubSession("ba/alone", i)
+			go func() {
+				_, err := Run(ctx, c.Envs[0], sess, 1, LocalCoin(c.Envs[0]), Options{UseBCA: useBCA})
+				done <- err
+			}()
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("bca=%v run %d: %v, want context.Canceled", useBCA, i, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("bca=%v run %d: still running after its context ended", useBCA, i)
+			}
+		}
+		c.Close()
 	}
 }
 

@@ -92,9 +92,10 @@ func runBCA(ctx context.Context, env *runtime.Env, session string, input byte, c
 
 	// Message pump: parse and forward session traffic.
 	msgs := make(chan parsedMsg, 64)
+	box := env.Node.Mailbox(session)
 	go func() {
 		for {
-			m, err := env.Recv(ctx, session)
+			m, err := box.Recv(ctx)
 			if err != nil {
 				select {
 				case msgs <- parsedMsg{err: err}:
@@ -278,6 +279,10 @@ func runBCA(ctx context.Context, env *runtime.Env, session string, input byte, c
 				return 0, fmt.Errorf("ba %s round %d: coin: %w", session, cr.round, cr.err)
 			}
 			coinVals[cr.round] = cr.value
+		case <-ctx.Done():
+			// The pump may have ended on this same cancellation without
+			// handing its error over; nothing else would wake this loop.
+			return 0, fmt.Errorf("ba %s: %w", session, ctx.Err())
 		case pm := <-msgs:
 			if pm.err != nil {
 				return 0, fmt.Errorf("ba %s: %w", session, pm.err)

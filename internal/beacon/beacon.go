@@ -6,7 +6,10 @@
 //
 // All nonfaulty parties construct a Beacon over the same session and call
 // the same sequence of methods; the i-th call at every party runs the same
-// underlying CoinFlip instances, so outputs match everywhere.
+// underlying CoinFlip instances, so outputs match everywhere. Each bit's
+// CoinFlip releases its session tree once n−t parties have output it, and
+// the bits are numbered, so a beacon holds what its bits in flight hold
+// however many it has emitted.
 package beacon
 
 import (

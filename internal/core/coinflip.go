@@ -28,12 +28,29 @@ import (
 // rounds concentrates fairly. A final binary BA converts local majorities
 // into perfect agreement.
 //
-// helperCtx should outlive the call (cluster lifetime): background
-// participation in other parties' reconstructions and lingering BA coin
-// instances run under it, mirroring the paper's "continue participating in
-// all relevant invocations until they terminate".
+// helperCtx should outlive the call (cluster lifetime): it is what the
+// call's scope derives from, and the scope is what background participation
+// in other parties' reconstructions and lingering BA coin instances run
+// under — until n−t parties have announced the coin, when the call's whole
+// session tree is released (see scoped).
 func CoinFlip(ctx, helperCtx context.Context, env *runtime.Env, session string, cfg Config) (byte, error) {
 	cfg = cfg.withDefaults()
+	out, err := scoped(ctx, helperCtx, env, session, func(ctx, scope context.Context) ([]byte, error) {
+		bit, err := coinFlip(ctx, scope, env, session, cfg)
+		return []byte{bit}, err
+	})
+	if err != nil {
+		return 0, err
+	}
+	if len(out) != 1 || out[0] > 1 {
+		return 0, fmt.Errorf("coinflip %s: adopted output %x is not a bit", session, out)
+	}
+	return out[0], nil
+}
+
+// coinFlip is Algorithm 1 itself, run inside CoinFlip's scope. cfg is
+// resolved by the caller.
+func coinFlip(ctx, helperCtx context.Context, env *runtime.Env, session string, cfg Config) (byte, error) {
 	k := cfg.roundsFor(env.N)
 
 	ones := 0

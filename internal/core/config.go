@@ -3,6 +3,50 @@
 // fair-choice protocol (Algorithm 2, FairChoice), and fair Byzantine
 // agreement (Algorithm 3, FBA), over the substrates in internal/svss,
 // internal/ba, internal/commonsubset and internal/rbc.
+//
+// # Lifetime of a call
+//
+// Every call of FBA, FairChoice or CoinFlip — the FairChoice inside an FBA
+// and the CoinFlips inside a FairChoice included — is a scope (scope.go): a
+// helper context derived from the caller's helperCtx, under which every
+// sub-protocol of the call runs, and a termination gadget on the call's
+// "out" sub-session. A party sends OUTPUT(v) to all when it outputs v; a
+// party without an output that holds t+1 matching OUTPUT(v) from distinct
+// parties adopts v as its output and sends OUTPUT(v) itself; a party that
+// holds n−t matching OUTPUT(v) ends the scope and releases the call's whole
+// session tree (runtime.Node.Release). The caller returns the moment it has
+// an output; the rest happens behind it. A call therefore leaves nothing
+// behind — no mailbox, no goroutine — once n−t parties have output,
+// however long the node lives. The argument is three lines:
+//
+//   - Adoption is agreement. Of t+1 matching OUTPUT(v) one is a nonfaulty
+//     party's, sent because it output or adopted v, so some nonfaulty
+//     party's run output v; every nonfaulty party that completes outputs
+//     the same value (Definitions 3.1 and 4.1), so v is what the adopter's
+//     own run would output. Agreement, validity, fair validity and the
+//     coin's bias are properties of that value and are untouched.
+//   - Release never strands anyone. Of n−t matching OUTPUT(v) at least t+1
+//     are nonfaulty parties', who sent theirs to everyone: every party
+//     still running reaches t+1 and terminates by adoption, with no help
+//     from the party that released. Before anyone releases, every nonfaulty
+//     party — adopters too, whose runs go on until the release — takes part
+//     as the paper has it, so almost-sure termination is preserved.
+//   - Liars are bounded by one vote each. A party's first well-formed
+//     OUTPUT is its only one, so t Byzantine parties put at most t votes
+//     behind any value: below t+1, they cause neither an adoption nor a
+//     release; a tally holds at most n values of at most the A-Cast cap.
+//
+// This deviates, on purpose, from the paper's "continue participating in
+// all relevant invocations until they terminate": a party stops
+// participating in an invocation once n−t parties have announced its
+// output, because from then on whoever has not terminated terminates by
+// adoption. (An adopter does not stop at t+1: with t ≥ 2, t+1 votes may
+// contain a single nonfaulty one, and the parties short of t+1 still need
+// every nonfaulty party's messages.) The gadget draws no randomness and
+// forks no Env, so the protocols' random streams are what they were
+// without it. What is not covered: a party that never calls the entry
+// point keeps what peers sent it, and a session a Byzantine peer invents
+// under a tree that was never released is still minted (ROADMAP).
 package core
 
 import (

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"asyncft/internal/runtime"
+	"asyncft/internal/wire"
 )
 
 // FairChoice runs Algorithm 2: all parties agree on one element of
@@ -25,6 +26,24 @@ func FairChoice(ctx, helperCtx context.Context, env *runtime.Env, session string
 	if m < 3 {
 		return 0, fmt.Errorf("fairchoice %s: m=%d < 3", session, m)
 	}
+	out, err := scoped(ctx, helperCtx, env, session, func(ctx, scope context.Context) ([]byte, error) {
+		k, err := fairChoice(ctx, scope, env, session, m, cfg)
+		return new(wire.Writer).Int(k).Bytes(), err
+	})
+	if err != nil {
+		return 0, err
+	}
+	r := wire.NewReader(out)
+	if k := r.Int(); r.Err() == nil && k >= 0 && k < m {
+		return k, nil
+	}
+	return 0, fmt.Errorf("fairchoice %s: adopted output %x is not in [0, %d)", session, out, m)
+}
+
+// fairChoice is Algorithm 2 itself, run inside FairChoice's scope; each of
+// its coin flips is a scoped call of its own and is released as it
+// finishes. cfg is resolved and m checked by the caller.
+func fairChoice(ctx, helperCtx context.Context, env *runtime.Env, session string, m int, cfg Config) (int, error) {
 	l := choiceBits(m)
 	// The paper pins the coin bias to 1/(100·m·log₂ m); keep it unless the
 	// caller overrode the round count for tractability.

@@ -24,6 +24,14 @@ import (
 // a nonfaulty input wins with probability at least 1/2.
 func FBA(ctx, helperCtx context.Context, env *runtime.Env, session string, input []byte, cfg Config) ([]byte, error) {
 	cfg = cfg.withDefaults()
+	return scoped(ctx, helperCtx, env, session, func(ctx, scope context.Context) ([]byte, error) {
+		return fba(ctx, scope, env, session, input, cfg)
+	})
+}
+
+// fba is Algorithm 3 itself, run inside FBA's scope; its FairChoice is a
+// scoped call of its own. cfg is resolved by the caller.
+func fba(ctx, helperCtx context.Context, env *runtime.Env, session string, input []byte, cfg Config) ([]byte, error) {
 	n, t := env.N, env.T
 
 	// Step 1: A-Cast the input, participate in everyone's A-Cast.

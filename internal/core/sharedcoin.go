@@ -13,9 +13,9 @@ import (
 // concurrent BA instances of a CommonSubset: the first instance to reach a
 // round launches the flip, every other instance waits on the same result and
 // derives its own bit from the shared field element. The flip itself runs
-// under the cluster-lifetime context so it survives individual instances
-// deciding early (the halting gadget can finish a BA while its coin request
-// is still in flight).
+// under the helper context, which outlives the instances, so it survives
+// individual instances deciding early (the halting gadget can finish a BA
+// while its coin request is still in flight).
 type sharedCoin struct {
 	mu     sync.Mutex
 	rounds map[int]*sharedFlip

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -152,5 +153,225 @@ func TestRoutePrefixAdoptionAfterRelease(t *testing.T) {
 	nd.Dispatch(routedEnv("g/e/0/slot/2/fp", 3))
 	if len(got) != 3 || got[2] != 3 {
 		t.Fatalf("routed traffic under a released family did not reach the route: %v", got)
+	}
+}
+
+// Release closes the subtree rooted at one session and nothing else: not
+// its siblings, not a session that merely shares its bytes as a prefix, not
+// its ancestors, and not a RoutePrefix claim.
+func TestReleaseClosesTheSubtreeAndNothingElse(t *testing.T) {
+	for _, root := range []string{"a/1", "a/probe", "7", "solo"} {
+		root := root
+		t.Run(root, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			nd := NewNode(0, 4, 1)
+			defer nd.Close()
+			nd.Instrument(reg)
+
+			gone := []string{root, root + "/out", root + "/cs/ba/2/wc/1", root + "/fc/cf/3/out"}
+			kept := []string{
+				root + "0", root + "0/out", // a/10 beside a/1: same bytes, another path
+				"a", "a/2/out", "a/other", "b/1/out", "70/x", "solos",
+			}
+			for _, s := range append(append([]string(nil), kept...), gone...) {
+				nd.Dispatch(wire.Envelope{From: 1, Session: s, Type: 1})
+			}
+			var routed int
+			remove := nd.RoutePrefix(root+"/routed/", func(wire.Envelope) { routed++ })
+			defer remove()
+			blocked := make(chan error, 1)
+			box := nd.Mailbox(root + "/r/1/sh/0")
+			go func() {
+				_, err := box.Recv(context.Background())
+				blocked <- err
+			}()
+
+			nd.Release(root)
+
+			select {
+			case err := <-blocked:
+				if err != ErrClosed {
+					t.Fatalf("blocked receiver returned %v, want ErrClosed", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("receiver under the released session still blocked")
+			}
+			if got := snapshot(t, reg, "runtime_sessions_active"); got != float64(len(kept)) {
+				t.Fatalf("sessions_active after release = %v, want %d", got, len(kept))
+			}
+			for _, s := range kept {
+				if env, ok := nd.Mailbox(s).TryRecv(); !ok || env.Session != s {
+					t.Errorf("session %q lost its buffered message", s)
+				}
+			}
+			nd.Dispatch(wire.Envelope{From: 1, Session: root + "/routed/x", Type: 1})
+			if routed != 1 {
+				t.Fatalf("a route claimed under the released session saw %d frames, want 1", routed)
+			}
+
+			// Frames and receives for the released tree mint nothing.
+			total := snapshot(t, reg, "runtime_sessions_total")
+			for i := 0; i < 1000; i++ {
+				for _, s := range gone {
+					nd.Dispatch(wire.Envelope{From: 3, Session: s, Type: 2})
+				}
+				nd.Dispatch(wire.Envelope{From: 3, Session: SubSession(root, "never", i), Type: 2})
+			}
+			if _, err := nd.Mailbox(root + "/out").Recv(context.Background()); err != ErrClosed {
+				t.Fatalf("Recv on a released session: %v, want ErrClosed", err)
+			}
+			if got := snapshot(t, reg, "runtime_sessions_total"); got != total {
+				t.Fatalf("sessions_total grew from %v to %v under a flood for a released tree", total, got)
+			}
+			if got := snapshot(t, reg, "runtime_sessions_active"); got != float64(len(kept)) {
+				t.Fatalf("sessions_active = %v after the flood, want %d", got, len(kept))
+			}
+			nd.Release(root) // a second release is a no-op
+		})
+	}
+}
+
+// Numbered roots released one by one, in any order, coalesce: the family's
+// tombstones are one interval per gap, and ReleaseBelow is the interval
+// that starts at zero.
+func TestReleaseCoalescesNumberedRoots(t *testing.T) {
+	const n = 10000
+	nd := NewNode(0, 4, 1)
+	defer nd.Close()
+	family, _ := nd.tombs.walk("bench/fba", true)
+	order := rand.New(rand.NewSource(1)).Perm(n)
+	most := 0
+	for i, k := range order {
+		nd.Release(SubSession("bench/fba", k))
+		if len(family.spans) > most {
+			most = len(family.spans)
+		}
+		if i%997 == 0 {
+			// The intervals are sorted, disjoint and not adjacent.
+			for j := 1; j < len(family.spans); j++ {
+				if family.spans[j-1].hi >= family.spans[j].lo {
+					t.Fatalf("after %d releases spans %v and %v touch", i+1, family.spans[j-1], family.spans[j])
+				}
+			}
+		}
+	}
+	if len(family.spans) != 1 || family.spans[0] != (span{0, n}) {
+		t.Fatalf("%d roots released in random order left %d intervals (%v…), want [0,%d)", n, len(family.spans), family.spans[:1], n)
+	}
+	if most > n/2 {
+		t.Fatalf("peak of %d intervals for %d roots: more than one per gap", most, n)
+	}
+	if len(family.kids) != 0 {
+		t.Fatalf("%d trie nodes left under released roots", len(family.kids))
+	}
+	if got := nd.ReleasedBelow("bench/fba"); got != n {
+		t.Fatalf("ReleasedBelow = %d, want %d", got, n)
+	}
+	for _, k := range []int{0, n / 2, n - 1} {
+		if !nd.retired(SubSession("bench/fba", k, "out")) {
+			t.Fatalf("instance %d not retired", k)
+		}
+	}
+	if nd.retired(SubSession("bench/fba", n)) || nd.retired("bench/fba") || nd.retired("bench/fba/probe") {
+		t.Fatal("a session outside the released interval reads as retired")
+	}
+	// ReleaseBelow extends the same interval, and a gap above it stays one.
+	nd.Release(SubSession("bench/fba", n+5))
+	nd.ReleaseBelow("bench/fba", n+2)
+	if len(family.spans) != 2 || family.spans[0] != (span{0, n + 2}) || family.spans[1] != (span{n + 5, n + 6}) {
+		t.Fatalf("spans = %v, want [0,%d) [%d,%d)", family.spans, n+2, n+5, n+6)
+	}
+}
+
+// A number is an instance only in the canonical form SubSession writes, so
+// releasing a/7 does not retire a/007 or a/+7, and the reverse.
+func TestReleaseNumbersAreCanonical(t *testing.T) {
+	nd := NewNode(0, 4, 1)
+	defer nd.Close()
+	nd.Release("a/7")
+	nd.Release("b/007")
+	for s, want := range map[string]bool{
+		"a/7": true, "a/7/x": true, "a/007": false, "a/+7": false, "a/07/x": false, "a/70": false,
+		"b/007": true, "b/007/x": true, "b/7": false,
+	} {
+		if got := nd.retired(s); got != want {
+			t.Errorf("retired(%q) = %v, want %v", s, got, want)
+		}
+	}
+}
+
+// Releasing a session drops the tombstones beneath it, whichever kind they
+// are, so a call's nested releases cost nothing once the call is released.
+func TestReleaseDropsNestedTombstones(t *testing.T) {
+	nd := NewNode(0, 4, 1)
+	defer nd.Close()
+	for d := 0; d < 50; d++ {
+		root := SubSession("bench/fba", d)
+		for i := 1; i <= 5; i++ {
+			nd.Release(SubSession(root, "fc", "cf", i))
+		}
+		nd.Release(SubSession(root, "fc"))
+		nd.ReleaseBelow(SubSession(root, "slot"), 9)
+		if d%2 == 0 {
+			nd.Release(root)
+		}
+	}
+	family, _ := nd.tombs.walk("bench/fba", false)
+	if len(family.kids) != 25 {
+		t.Fatalf("%d nodes under the family, want the 25 unreleased roots", len(family.kids))
+	}
+	for d := 1; d < 50; d += 2 {
+		root := SubSession("bench/fba", d)
+		if !nd.retired(SubSession(root, "fc", "cf", 2, "out")) || !nd.retired(SubSession(root, "slot", 8)) || nd.retired(SubSession(root, "cs")) {
+			t.Fatalf("nested tombstones under unreleased root %d are wrong", d)
+		}
+		nd.Release(root)
+	}
+	if len(family.kids) != 0 || len(family.spans) != 1 {
+		t.Fatalf("after releasing every root: %d nodes, spans %v; want none and one interval", len(family.kids), family.spans)
+	}
+	// A release under a released session leaves nothing behind either.
+	nd.Release("bench/fba/3/fc")
+	nd.ReleaseBelow("bench/fba/3/slot", 4)
+	if len(family.kids) != 0 {
+		t.Fatalf("a release under a released root left %d nodes", len(family.kids))
+	}
+}
+
+// Every receiver blocked on a mailbox wakes when it closes, whichever way
+// it closes — not only the first.
+func TestCloseWakesEveryReceiver(t *testing.T) {
+	closers := map[string]func(nd *Node){
+		"ReleaseBelow": func(nd *Node) { nd.ReleaseBelow("f", 2) },
+		"Release":      func(nd *Node) { nd.Release("f/1") },
+		"Close":        func(nd *Node) { nd.Close() },
+	}
+	for name, closeIt := range closers {
+		closeIt := closeIt
+		t.Run(name, func(t *testing.T) {
+			nd := NewNode(0, 4, 1)
+			defer nd.Close()
+			box := nd.Mailbox("f/1/x")
+			const receivers = 3
+			errs := make(chan error, receivers)
+			for i := 0; i < receivers; i++ {
+				go func() {
+					_, err := box.Recv(context.Background())
+					errs <- err
+				}()
+			}
+			time.Sleep(10 * time.Millisecond) // let them block; the test holds either way
+			closeIt(nd)
+			for i := 0; i < receivers; i++ {
+				select {
+				case err := <-errs:
+					if err != ErrClosed {
+						t.Fatalf("receiver %d returned %v, want ErrClosed", i, err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("only %d of %d blocked receivers woke", i, receivers)
+				}
+			}
+		})
 	}
 }

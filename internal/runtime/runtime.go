@@ -11,13 +11,22 @@
 // protocol phases ahead.
 //
 // A mailbox lives until its node closes, a RoutePrefix claim adopts it, or
-// the numbered subtree it belongs to is released (ReleaseBelow): a caller
-// that runs an unbounded sequence of instances under family/0, family/1, …
-// — the slots of a ledger — releases the ones it no longer needs, which
-// closes and deletes every mailbox under them (blocked receivers return
-// ErrClosed, which is how the instance's helper goroutines end) and leaves
-// a tombstone cursor behind, so a late or hostile frame for a released
+// the subtree it belongs to is released. Release(session) retires one
+// instance — a finished FBA, FairChoice or CoinFlip call (internal/core) —
+// and ReleaseBelow(family, k) the instances family/0 … family/(k−1) — the
+// slots of a ledger a quorum has stored (internal/shard). Either closes and
+// deletes every mailbox at or under the released sessions (every blocked
+// receiver returns ErrClosed, which is how the instance's helper goroutines
+// end) and leaves a tombstone, so a late or hostile frame for a released
 // instance is dropped instead of minting its mailbox again.
+//
+// Tombstones are one mechanism, a trie over path segments (see tomb): the
+// released numbered children of a session are a sorted set of coalesced
+// integer intervals — ReleaseBelow(family, k) is the interval [0, k), and
+// family/0, family/1, … released one by one in any order cost one interval
+// per gap, not one entry per instance — a released child with any other
+// name is one entry, and releasing a session drops every tombstone beneath
+// it. A session pays for the trie only when it has no mailbox yet.
 package runtime
 
 import (
@@ -28,26 +37,28 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"asyncft/internal/obs"
 	"asyncft/internal/wire"
 )
 
-// ErrClosed is returned by Recv when the node shuts down.
+// ErrClosed is returned by Recv when the node shuts down or the mailbox's
+// session is released.
 var ErrClosed = errors.New("runtime: node closed")
 
 // Node is one party's runtime state.
 type Node struct {
 	id, n, t int
 
-	mu       sync.Mutex
-	boxes    map[string]*Mailbox
-	released map[string]int // family -> tombstone cursor (see ReleaseBelow)
-	routes   []*route       // prefix handlers, consulted before mailboxes
-	shunGen  map[int]uint64 // party -> generation at which it was shunned
-	gen      uint64         // monotonically increases with each new mailbox
-	shuns    int            // total shun events recorded by this node
-	closed   bool
+	mu      sync.Mutex
+	boxes   map[string]*Mailbox
+	tombs   tomb           // released sessions (see Release, ReleaseBelow)
+	routes  []*route       // prefix handlers, consulted before mailboxes
+	shunGen map[int]uint64 // party -> generation at which it was shunned
+	gen     uint64         // monotonically increases with each new mailbox
+	shuns   int            // total shun events recorded by this node
+	closed  bool
 
 	// instrument handles (nil without Instrument; all updates no-op then).
 	activeBoxes *obs.Gauge   // mailboxes currently registered
@@ -82,12 +93,11 @@ type route struct {
 // NewNode creates a node for party id among n parties tolerating t faults.
 func NewNode(id, n, t int) *Node {
 	return &Node{
-		id:       id,
-		n:        n,
-		t:        t,
-		boxes:    make(map[string]*Mailbox),
-		released: make(map[string]int),
-		shunGen:  make(map[int]uint64),
+		id:      id,
+		n:       n,
+		t:       t,
+		boxes:   make(map[string]*Mailbox),
+		shunGen: make(map[int]uint64),
 	}
 }
 
@@ -107,7 +117,7 @@ func (nd *Node) ID() int { return nd.id }
 // either seen by RoutePrefix's adoption sweep or diverted to the route;
 // none can slip into a mailbox the sweep already drained.
 //
-// An envelope for a released session (see ReleaseBelow) is dropped.
+// An envelope for a released session (see Release) is dropped.
 func (nd *Node) Dispatch(env wire.Envelope) {
 	nd.mu.Lock()
 	for i := len(nd.routes) - 1; i >= 0; i-- {
@@ -149,14 +159,7 @@ func (nd *Node) RoutePrefix(prefix string, h func(wire.Envelope)) (remove func()
 	r := &route{prefix: prefix, h: h}
 	nd.mu.Lock()
 	nd.routes = append(nd.routes, r)
-	var adopted []*Mailbox
-	for s, b := range nd.boxes {
-		if strings.HasPrefix(s, prefix) {
-			delete(nd.boxes, s)
-			adopted = append(adopted, b)
-		}
-	}
-	nd.activeBoxes.Set(int64(len(nd.boxes)))
+	adopted := nd.reap(func(s string) bool { return strings.HasPrefix(s, prefix) })
 	nd.mu.Unlock()
 	for _, b := range adopted {
 		for {
@@ -202,8 +205,8 @@ func (nd *Node) box(session string) *Mailbox {
 }
 
 // Mailbox returns the mailbox for a session, creating it if necessary. A
-// released session (see ReleaseBelow) gets a closed, empty mailbox: Recv on
-// it returns ErrClosed at once and nothing is registered.
+// released session (see Release) gets a closed, empty mailbox: Recv on it
+// returns ErrClosed at once and nothing is registered.
 func (nd *Node) Mailbox(session string) *Mailbox {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
@@ -213,86 +216,11 @@ func (nd *Node) Mailbox(session string) *Mailbox {
 // retiredBox stands in for every released session's mailbox: closed and
 // empty, so pushes are dropped and receives fail with ErrClosed. It is
 // never mutated after init.
-var retiredBox = &Mailbox{closed: true}
-
-// ReleaseBelow retires the instances family/0 … family/(below−1): every
-// mailbox whose session is family/k or lies under family/k/ with k < below
-// is closed (blocked receivers return ErrClosed) and deleted, and the
-// family's tombstone cursor advances to below, so from now on Dispatch
-// drops envelopes for those sessions and Mailbox hands out a closed
-// mailbox instead of creating one. Instances at or above the cursor, other
-// families and RoutePrefix claims are untouched. The cursor only moves
-// forward; a call that would not advance it does nothing. The state kept
-// per family is one integer, however many instances were released.
-//
-// The caller decides when an instance is no longer needed by anyone — for
-// a ledger slot, once a quorum's stores hold it (see internal/shard).
-func (nd *Node) ReleaseBelow(family string, below int) {
-	nd.mu.Lock()
-	if below <= nd.released[family] {
-		nd.mu.Unlock()
-		return
-	}
-	nd.released[family] = below
-	var dead []*Mailbox
-	for s, b := range nd.boxes {
-		if !strings.HasPrefix(s, family) {
-			continue
-		}
-		if k, ok := instance(s, len(family)); ok && k < below {
-			delete(nd.boxes, s)
-			dead = append(dead, b)
-		}
-	}
-	nd.activeBoxes.Set(int64(len(nd.boxes)))
-	nd.mu.Unlock()
-	for _, b := range dead {
-		b.close()
-	}
-}
-
-// ReleasedBelow returns family's tombstone cursor: instances below it have
-// been released.
-func (nd *Node) ReleasedBelow(family string) int {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	return nd.released[family]
-}
-
-// retired reports whether session lies in a released instance of some
-// family. It is consulted only when a session has no mailbox — creation is
-// the rare path, and a live session never pays for it — and costs one map
-// lookup per path segment, whatever the number of families. Caller holds mu.
-func (nd *Node) retired(session string) bool {
-	if len(nd.released) == 0 {
-		return false
-	}
-	for i := 0; i < len(session); i++ {
-		if session[i] != '/' {
-			continue
-		}
-		if below, ok := nd.released[session[:i]]; ok {
-			if k, ok := instance(session, i); ok && k < below {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// instance parses the decimal path segment that follows the separator at
-// session[at]: the k of family/k or family/k/… for a family of length at.
-func instance(session string, at int) (k int, ok bool) {
-	if at >= len(session) || session[at] != '/' {
-		return 0, false
-	}
-	seg := session[at+1:]
-	if end := strings.IndexByte(seg, '/'); end >= 0 {
-		seg = seg[:end]
-	}
-	k, err := strconv.Atoi(seg)
-	return k, err == nil && k >= 0
-}
+var retiredBox = func() *Mailbox {
+	b := newMailbox("", 0)
+	b.close()
+	return b
+}()
 
 // Shun records that this party shuns party j from now on: j's messages are
 // dropped for all sessions opened after this call. Shunning is idempotent;
@@ -332,6 +260,10 @@ func (nd *Node) Close() {
 	}
 }
 
+// ErrExpired is returned by RecvUntil when the caller's timer fired before
+// a message arrived.
+var ErrExpired = errors.New("runtime: receive timer expired")
+
 // Mailbox is an unbounded FIFO of envelopes for one session. session is
 // the canonical interned copy of the session string; Dispatch rewrites
 // inbound envelopes to it.
@@ -340,14 +272,19 @@ type Mailbox struct {
 	gen     uint64
 	depthHW *obs.Gauge // shared node-wide high-water (nil = uninstrumented)
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// The queue is items[head:]. Popping advances head instead of slicing
+	// the front off, so the backing array's capacity survives: a mailbox
+	// that alternates push and pop — the normal case — never reallocates.
 	items  []wire.Envelope
-	notify chan struct{}
+	head   int
+	notify chan struct{} // one token while a push may be unconsumed; wakes one receiver
+	done   chan struct{} // closed with the mailbox; wakes every receiver
 	closed bool
 }
 
 func newMailbox(session string, gen uint64) *Mailbox {
-	return &Mailbox{session: session, gen: gen, notify: make(chan struct{}, 1)}
+	return &Mailbox{session: session, gen: gen, notify: make(chan struct{}, 1), done: make(chan struct{})}
 }
 
 func (b *Mailbox) push(env wire.Envelope) {
@@ -356,24 +293,52 @@ func (b *Mailbox) push(env wire.Envelope) {
 		b.mu.Unlock()
 		return
 	}
+	if b.head > len(b.items)/2 {
+		// The dead prefix outgrew the live queue: move the queue to the
+		// front (amortised against the pops that made the prefix) and
+		// clear what it leaves behind, so payloads stay collectable.
+		n := copy(b.items, b.items[b.head:])
+		for i := n; i < len(b.items); i++ {
+			b.items[i] = wire.Envelope{}
+		}
+		b.items, b.head = b.items[:n], 0
+	}
 	b.items = append(b.items, env)
-	depth := len(b.items)
+	depth := len(b.items) - b.head
 	b.mu.Unlock()
 	b.depthHW.SetMax(int64(depth))
+	b.wake()
+}
+
+// wake leaves a token for one receiver.
+func (b *Mailbox) wake() {
 	select {
 	case b.notify <- struct{}{}:
 	default:
 	}
 }
 
+// pop removes the head of a non-empty queue. Caller holds mu.
+func (b *Mailbox) pop() wire.Envelope {
+	env := b.items[b.head]
+	b.items[b.head] = wire.Envelope{}
+	if b.head++; b.head == len(b.items) {
+		b.items, b.head = b.items[:0], 0
+	}
+	return env
+}
+
+// close marks the mailbox closed and wakes every blocked receiver: each
+// drains what is queued and then returns ErrClosed. notify could not do
+// this — it holds one token, and push sends on it after dropping the lock,
+// so it can be neither broadcast on nor closed.
 func (b *Mailbox) close() {
 	b.mu.Lock()
-	b.closed = true
-	b.mu.Unlock()
-	select {
-	case b.notify <- struct{}{}:
-	default:
+	if !b.closed {
+		b.closed = true
+		close(b.done)
 	}
+	b.mu.Unlock()
 }
 
 // TryRecv returns the next queued message without blocking. It is the
@@ -383,28 +348,30 @@ func (b *Mailbox) close() {
 func (b *Mailbox) TryRecv() (wire.Envelope, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.items) == 0 {
+	if b.head == len(b.items) {
 		return wire.Envelope{}, false
 	}
-	env := b.items[0]
-	b.items = b.items[1:]
-	return env, true
+	return b.pop(), true
 }
 
-// Recv blocks until a message is available, the context is cancelled, or the
-// node closes.
+// Recv blocks until a message is available, the context is cancelled, or
+// the mailbox closes (its node shut down or its session was released).
 func (b *Mailbox) Recv(ctx context.Context) (wire.Envelope, error) {
+	return b.RecvUntil(ctx, nil)
+}
+
+// RecvUntil is Recv that also gives up, with ErrExpired, when expired
+// delivers — the channel of a timer the caller owns and re-arms, so a loop
+// with an idle deadline holds one timer for its lifetime instead of
+// building a deadline context per receive. A queued message wins over a
+// timer that has already fired. A nil channel never expires.
+func (b *Mailbox) RecvUntil(ctx context.Context, expired <-chan time.Time) (wire.Envelope, error) {
 	for {
 		b.mu.Lock()
-		if len(b.items) > 0 {
-			env := b.items[0]
-			b.items = b.items[1:]
-			if len(b.items) > 0 {
-				// Re-arm for the next receiver.
-				select {
-				case b.notify <- struct{}{}:
-				default:
-				}
+		if b.head < len(b.items) {
+			env := b.pop()
+			if b.head < len(b.items) {
+				b.wake() // re-arm for the next receiver
 			}
 			b.mu.Unlock()
 			return env, nil
@@ -416,6 +383,9 @@ func (b *Mailbox) Recv(ctx context.Context) (wire.Envelope, error) {
 		}
 		select {
 		case <-b.notify:
+		case <-b.done:
+		case <-expired:
+			return wire.Envelope{}, ErrExpired
 		case <-ctx.Done():
 			return wire.Envelope{}, ctx.Err()
 		}
@@ -533,10 +503,33 @@ func (e *Env) Recv(ctx context.Context, session string) (wire.Envelope, error) {
 // session strings (enforced by the sessionfmt analyzer): ad-hoc
 // fmt.Sprintf formats risk two protocol instances colliding in the
 // mailbox namespace and silently consuming each other's messages.
+//
+// The result is parent and each part's fmt.Sprint form joined by "/"; it is
+// built in one buffer, with the string and int parts that make up nearly
+// every session in the tree appended without fmt.
 func SubSession(parent string, parts ...interface{}) string {
-	s := parent
+	size := len(parent)
 	for _, p := range parts {
-		s += "/" + fmt.Sprint(p)
+		if s, ok := p.(string); ok {
+			size += 1 + len(s)
+		} else {
+			size += 4 // "/" and a short number; longer parts grow the buffer
+		}
 	}
-	return s
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString(parent)
+	for _, p := range parts {
+		b.WriteByte('/')
+		switch v := p.(type) {
+		case string:
+			b.WriteString(v)
+		case int:
+			var num [20]byte
+			b.Write(strconv.AppendInt(num[:0], int64(v), 10))
+		default:
+			fmt.Fprint(&b, p)
+		}
+	}
+	return b.String()
 }

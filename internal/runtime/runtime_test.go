@@ -2,12 +2,15 @@ package runtime
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 	"unsafe"
 
 	"asyncft/internal/network"
+	"asyncft/internal/obs"
 	"asyncft/internal/wire"
 )
 
@@ -231,6 +234,138 @@ func TestEnvForkIndependentRandomness(t *testing.T) {
 func TestSubSessionBuilder(t *testing.T) {
 	if got := SubSession("cf", "r", 3, "svss", 2); got != "cf/r/3/svss/2" {
 		t.Fatalf("Sub = %q", got)
+	}
+}
+
+// The session string is the contract (mailbox keys, the wire, the
+// sessionfmt analyzer), not how it is built: for every part type the tree
+// passes, SubSession is the parent and each part's fmt.Sprint joined by "/".
+func TestSubSessionMatchesSprint(t *testing.T) {
+	type label string
+	cases := [][]interface{}{
+		nil,
+		{"cs"},
+		{"ba", 3, "wc", 12},
+		{0}, {7}, {-1}, {255}, {256}, {1 << 40},
+		{"", ""},
+		{"r", 2, uint64(18446744073709551615)}, // statesync / rbc.Pull nonces
+		{"e12", 65536, true},                   // experiments pass a bool
+		{int64(-5), uint8(9), int32(4), uint(3)},
+		{"e16", 7, label("bca")},
+		{"a/b", "c"},
+		{"long-enough-to-outgrow-the-size-guess", 1234567890123, "x", 99999999},
+	}
+	for _, parent := range []string{"", "bench/fba", "run/s/0/slot/12"} {
+		for _, parts := range cases {
+			want := parent
+			for _, p := range parts {
+				want += "/" + fmt.Sprint(p)
+			}
+			if got := SubSession(parent, parts...); got != want {
+				t.Errorf("SubSession(%q, %v) = %q, want %q", parent, parts, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = SubSession("bench/fba/12/cs", "ba", 3, "wc", 1) }); n > 2 {
+		t.Errorf("SubSession of string and small int parts allocates %v times, want the string (and its parts slice) only", n)
+	}
+}
+
+// A mailbox that alternates push and pop keeps its backing array: steady
+// traffic allocates nothing, at any standing depth.
+func TestMailboxSteadyTrafficDoesNotAllocate(t *testing.T) {
+	for _, depth := range []int{0, 1, 5} {
+		b := newMailbox("s", 1)
+		for i := 0; i < depth; i++ {
+			b.push(wire.Envelope{Type: uint8(i)})
+		}
+		for i := 0; i < 64; i++ { // reach the steady capacity
+			b.push(wire.Envelope{})
+			b.TryRecv()
+		}
+		if n := testing.AllocsPerRun(1000, func() {
+			b.push(wire.Envelope{Type: 9})
+			if _, ok := b.TryRecv(); !ok {
+				t.Fatal("empty after push")
+			}
+		}); n != 0 {
+			t.Errorf("standing depth %d: %v allocations per push/pop, want 0", depth, n)
+		}
+		if got := cap(b.items); got > 4*(depth+1) {
+			t.Errorf("standing depth %d: backing array grew to %d slots", depth, got)
+		}
+	}
+}
+
+// The head index changes neither order nor depth accounting, and a popped
+// slot no longer pins its payload.
+func TestMailboxHeadIndexKeepsFIFOAndDropsPayloads(t *testing.T) {
+	reg := obs.NewRegistry()
+	nd := NewNode(0, 4, 1)
+	defer nd.Close()
+	nd.Instrument(reg)
+	b := nd.Mailbox("s")
+	next, want := 0, 0
+	rng := rand.New(rand.NewSource(5))
+	peak := 0
+	for step := 0; step < 5000; step++ {
+		if rng.Intn(5) < 3 {
+			nd.Dispatch(wire.Envelope{From: 1, Session: "s", Payload: []byte{byte(next), byte(next >> 8)}})
+			next++
+			if next-want > peak {
+				peak = next - want
+			}
+		} else if env, ok := b.TryRecv(); ok {
+			if got := int(env.Payload[0]) | int(env.Payload[1])<<8; got != want {
+				t.Fatalf("step %d: popped message %d, want %d", step, got, want)
+			}
+			want++
+		} else if want != next {
+			t.Fatalf("step %d: mailbox empty with %d messages outstanding", step, next-want)
+		}
+		b.mu.Lock()
+		for i, e := range b.items {
+			if (i < b.head) != (e.Payload == nil) {
+				t.Fatalf("step %d: slot %d (head %d) payload pinned = %v", step, i, b.head, e.Payload != nil)
+			}
+		}
+		for _, e := range b.items[len(b.items):cap(b.items)] {
+			if e.Payload != nil {
+				t.Fatalf("step %d: a slot past the queue still pins a payload", step)
+			}
+		}
+		b.mu.Unlock()
+	}
+	if v, _ := reg.Snapshot("runtime_mailbox_depth_highwater"); int(v[""]) != peak {
+		t.Fatalf("depth high-water = %v, want the peak number queued %d", v[""], peak)
+	}
+}
+
+// RecvUntil gives up when the caller's timer fires, prefers a queued
+// message to a timer that already fired, and otherwise is Recv.
+func TestRecvUntil(t *testing.T) {
+	nd := NewNode(0, 4, 1)
+	defer nd.Close()
+	b := nd.Mailbox("s")
+	timer := time.NewTimer(time.Millisecond)
+	defer timer.Stop()
+	if _, err := b.RecvUntil(context.Background(), timer.C); err != ErrExpired {
+		t.Fatalf("empty mailbox, fired timer: %v, want ErrExpired", err)
+	}
+	timer.Reset(time.Millisecond)
+	time.Sleep(5 * time.Millisecond)
+	nd.Dispatch(wire.Envelope{From: 1, Session: "s", Type: 4})
+	if env, err := b.RecvUntil(context.Background(), timer.C); err != nil || env.Type != 4 {
+		t.Fatalf("queued message, fired timer: %v %v, want the message", env, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := b.RecvUntil(ctx, nil); err != context.Canceled {
+		t.Fatalf("cancelled context: %v", err)
+	}
+	nd.Release("s")
+	if _, err := b.RecvUntil(context.Background(), nil); err != ErrClosed {
+		t.Fatalf("released mailbox: %v, want ErrClosed", err)
 	}
 }
 

@@ -139,8 +139,9 @@ func RunShare(ctx context.Context, env *runtime.Env, session string, dealer int,
 		}
 	}
 
+	box := env.Node.Mailbox(session)
 	for !complete {
-		msg, err := env.Recv(ctx, session)
+		msg, err := box.Recv(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("svss share %s: %w", session, err)
 		}
@@ -207,8 +208,12 @@ func RunShare(ctx context.Context, env *runtime.Env, session string, dealer int,
 // ctx does (the engine's detect-and-abort regime). No-op when the row is
 // already present.
 func AwaitRow(ctx context.Context, env *runtime.Env, sh *Share) error {
+	if sh.Row != nil {
+		return nil
+	}
+	box := env.Node.Mailbox(sh.Session)
 	for sh.Row == nil {
-		msg, err := env.Recv(ctx, sh.Session)
+		msg, err := box.Recv(ctx)
 		if err != nil {
 			return fmt.Errorf("svss await row %s: %w", sh.Session, err)
 		}
@@ -330,16 +335,25 @@ func RunRecBatch(ctx context.Context, env *runtime.Env, session string, dealer i
 		unresolved--
 	}
 
+	// The idle window is one timer for the whole call. Progress only moves
+	// the deadline; the timer is re-armed when it fires, for what is then
+	// left of the window (its channel is empty at that point, which Reset
+	// needs before Go 1.23).
+	box := env.Node.Mailbox(session)
 	deadline := time.Now().Add(opts.RecIdleTimeout)
+	idle := time.NewTimer(opts.RecIdleTimeout)
+	defer idle.Stop()
 	for unresolved > 0 {
-		// Bound each wait so the idle fallback can fire; progress resets it.
-		wctx, cancel := context.WithDeadline(ctx, deadline)
-		msg, err := env.Recv(wctx, session)
-		cancel()
+		msg, err := box.RecvUntil(ctx, idle.C)
 		if err != nil {
-			if ctx.Err() != nil {
-				return nil, fmt.Errorf("svss rec %s: %w", session, ctx.Err())
+			if err != runtime.ErrExpired {
+				return nil, fmt.Errorf("svss rec %s: %w", session, err)
 			}
+			if left := time.Until(deadline); left > 0 {
+				idle.Reset(left)
+				continue
+			}
+			idle.Reset(opts.RecIdleTimeout)
 			// Idle: if a quorum reported and some opening still does not
 			// resolve, the dealer must have equivocated. Give up, blame the
 			// dealer when there is one to blame.

@@ -37,9 +37,11 @@ const msgAttach uint8 = 1
 // Flip runs one weak coin flip on the given session. All nonfaulty parties
 // must call Flip with the same session for it to terminate. Helper
 // participation in other parties' reconstructions continues in the
-// background under helperCtx (pass the cluster-lifetime context) after Flip
-// returns, mirroring the paper's "continue participating in all relevant
-// invocations until they terminate".
+// background under helperCtx after Flip returns, mirroring the paper's
+// "continue participating in all relevant invocations until they
+// terminate": pass a context that outlives the flip — the cluster's, or the
+// scope of the core call the flip belongs to, which ends when that call is
+// released.
 func Flip(ctx, helperCtx context.Context, env *runtime.Env, session string, opts svss.Options) (byte, error) {
 	v, err := FlipValue(ctx, helperCtx, env, session, opts)
 	if err != nil {
@@ -123,9 +125,10 @@ func FlipValue(ctx, helperCtx context.Context, env *runtime.Env, session string,
 	// others' once their dealers completed locally; union the first n−t
 	// accepted; keep helping with late sets under helperCtx.
 	attachCh := make(chan []int, 2*n)
+	box := env.Node.Mailbox(session)
 	go func() {
 		for {
-			msg, err := env.Recv(helperCtx, session)
+			msg, err := box.Recv(helperCtx)
 			if err != nil {
 				return
 			}
@@ -230,7 +233,7 @@ func FlipValue(ctx, helperCtx context.Context, env *runtime.Env, session string,
 
 	// Helper loop: join reconstructions requested by other parties' attach
 	// sets (including those still pending when our union fixed) so their
-	// Recs reach quorum. Runs until the cluster-lifetime context ends.
+	// Recs reach quorum. Runs until helperCtx ends.
 	go func() {
 		wantRec := map[int]bool{}
 		for _, set := range pending {
